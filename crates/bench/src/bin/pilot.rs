@@ -19,8 +19,12 @@ fn main() {
     println!("bounds upper: {:?}", graf.bounds.upper.iter().map(|v| v.round()).collect::<Vec<_>>());
     println!("val loss: first {:.4} best {:.4}", graf.report.val_loss[0], graf.report.best_val);
     let table = graf.model.error_table(&graf.test_set);
-    for r in &table.regions {
-        println!("err {}: {:.1}% (n={})", r.0, r.3, r.4);
+    for (name, _, _, err, n) in &table.regions {
+        if *n == 0 {
+            println!("err {name}: n/a (n=0)");
+        } else {
+            println!("err {name}: {err:.1}% (n={n})");
+        }
     }
     println!(
         "overestimate: {:.1}% of points, mean {:.1}%",

@@ -300,8 +300,8 @@ impl LatencyModel {
     /// Fused prediction + conditional gradient — the solver fast path.
     ///
     /// Runs one forward pass whose activations are retained; only when the
-    /// predicted latency exceeds `grad_if_above_ms` is the backward pass run,
-    /// reusing the retained trace (one forward + at most one backward per
+    /// predicted latency exceeds `grad_if_above_ms` is the input-only
+    /// backward pass run, reusing the retained trace (one forward + at most one backward per
     /// solver iteration, versus the two forwards + one backward of calling
     /// [`LatencyModel::predict_ms`] then [`LatencyModel::grad_quota`]).
     ///
@@ -323,7 +323,7 @@ impl LatencyModel {
         if pred <= grad_if_above_ms {
             return (pred, false);
         }
-        self.net.grad_from_kept_into(&self.scratch.x, &mut self.scratch.dx);
+        self.net.grad_kept_into(&mut self.scratch.dx);
         grad_out.clear();
         grad_out.reserve(n);
         for i in 0..n {

@@ -408,6 +408,27 @@ mod tests {
         }
     }
 
+    /// Pins the descent bit for bit: iteration counts, quotas and the
+    /// predicted latency at a slack SLO (forward-only iterations) and at two
+    /// binding ones (every iteration also back-propagates). A kernel change
+    /// that moves any rounding fails here.
+    #[test]
+    fn solve_results_are_pinned_bit_for_bit() {
+        let (mut model, bounds, w) = trained_model(4);
+        let golden: [(f64, usize, [u64; 2], u64); 3] = [
+            (120.0, 45, [0x4062c00000000000, 0x4079000000000000], 0x403b05fca8a4eb5e),
+            (25.0, 1500, [0x40851c25e34db0e8, 0x40857d8b05c3ba9b], 0x402ff8239e77ad2b),
+            (12.0, 1500, [0x407dffeaf391c805, 0x409538d347e21c3c], 0x402734e62a05c5fa),
+        ];
+        for (slo, iterations, quotas, predicted) in golden {
+            let r = solve(&mut model, &w, slo, &bounds, &SolverConfig::default());
+            let bits: Vec<u64> = r.quotas_mc.iter().map(|q| q.to_bits()).collect();
+            assert_eq!(r.iterations, iterations, "iterations at SLO {slo}");
+            assert_eq!(bits, quotas, "quota bits at SLO {slo}: {:?}", r.quotas_mc);
+            assert_eq!(r.predicted_ms.to_bits(), predicted, "prediction at SLO {slo}");
+        }
+    }
+
     #[test]
     fn integer_refine_never_exceeds_ceil_and_meets_predicted_slo() {
         let (mut model, bounds, w) = trained_model(9);

@@ -21,8 +21,8 @@ struct FlatScratch {
     dx: Matrix,
     ws: Workspace,
     grads: MlpGrads,
-    /// Row count of the retained eval forward (0 = no valid trace).
-    kept_rows: usize,
+    /// Whether `trace` holds an eval forward under the current parameters.
+    kept: bool,
 }
 
 /// A plain MLP over concatenated node features.
@@ -60,14 +60,13 @@ impl FlatMlp {
 }
 
 impl FlatMlp {
-    /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.dx`. Gradients land in the scratch sink, never the params.
-    fn backward_kept(&mut self, x: &Matrix) {
-        let sc = self.scratch.get_mut();
-        sc.dy.reshape_zeroed(x.rows(), 1);
-        sc.dy.data_mut().fill(1.0);
-        sc.grads.prepare(&self.mlp);
-        self.mlp.backward_with(&sc.trace, &sc.dy, &mut sc.grads, &mut sc.ws, &mut sc.dx);
+    /// Eval-mode forward of `x`, retaining its trace for
+    /// [`LatencyNet::grad_kept_into`].
+    fn forward_eval(&self, x: &Matrix) {
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
+        self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
+        sc.kept = true;
     }
 }
 
@@ -81,11 +80,22 @@ impl LatencyNet for FlatMlp {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
-        self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-        sc.kept_rows = x.rows();
-        sc.out.data().to_vec()
+        self.forward_eval(x);
+        self.scratch.borrow().out.data().to_vec()
+    }
+
+    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
+        self.forward_eval(x);
+        out.clear();
+        out.extend_from_slice(self.scratch.get_mut().out.data());
+    }
+
+    fn grad_kept_into(&mut self, dx: &mut Matrix) {
+        let sc = self.scratch.get_mut();
+        assert!(sc.kept, "grad_kept_into needs a preceding eval forward");
+        sc.dy.reshape_zeroed(sc.out.rows(), 1);
+        sc.dy.data_mut().fill(1.0);
+        self.mlp.backward_input(&sc.trace, &sc.dy, &mut sc.ws, dx, None);
     }
 
     fn train_step(
@@ -98,7 +108,7 @@ impl LatencyNet for FlatMlp {
     ) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch size mismatch");
         let sc = self.scratch.get_mut();
-        sc.kept_rows = 0; // parameters change below: kept trace is stale
+        sc.kept = false; // parameters change below: kept trace is stale
         self.mlp.forward_into(x, &mut Mode::Train(rng), &mut sc.trace, &mut sc.out);
         sc.dy.reshape_zeroed(x.rows(), 1);
         let l = loss.batch_into(sc.out.data(), y, sc.dy.data_mut());
@@ -110,41 +120,6 @@ impl LatencyNet for FlatMlp {
         let opt = &mut *opt;
         self.mlp.for_each_param_mut(|p| opt.update(p));
         l
-    }
-
-    fn grad_input(&mut self, x: &Matrix) -> Matrix {
-        {
-            let sc = self.scratch.get_mut();
-            self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-            sc.kept_rows = x.rows();
-        }
-        self.grad_from_kept(x)
-    }
-
-    fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            return self.grad_input(x);
-        }
-        self.backward_kept(x);
-        self.scratch.get_mut().dx.clone()
-    }
-
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let sc = self.scratch.get_mut();
-        self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-        sc.kept_rows = x.rows();
-        out.clear();
-        out.extend_from_slice(sc.out.data());
-    }
-
-    fn grad_from_kept_into(&mut self, x: &Matrix, dx: &mut Matrix) {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            let sc = self.scratch.get_mut();
-            self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-            sc.kept_rows = x.rows();
-        }
-        self.backward_kept(x);
-        dx.copy_from(&self.scratch.get_mut().dx);
     }
 
     fn scratch_stats(&self) -> (u64, u64) {
@@ -207,7 +182,8 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f64 * 0.1);
         let slow = m.grad_input(&x);
         let _ = m.predict(&x);
-        let fast = m.grad_from_kept(&x);
+        let mut fast = Matrix::default();
+        m.grad_kept_into(&mut fast);
         assert_eq!(slow.data(), fast.data());
     }
 }

@@ -15,9 +15,9 @@
 //!   concatenated raw node features, skipping message passing.
 //! * [`LatencyNet`] — the common interface both models expose to GRAF's
 //!   training loop and configuration solver. Crucially it provides
-//!   [`LatencyNet::grad_input`], the gradient of the predicted latency with
-//!   respect to the node features — the quantity the solver differentiates
-//!   to walk CPU quotas downhill (§3.5).
+//!   [`LatencyNet::grad_kept_into`], the gradient of the predicted latency
+//!   with respect to the node features of the latest eval forward — the
+//!   quantity the solver differentiates to walk CPU quotas downhill (§3.5).
 //!
 //! Node features follow §3.3: `x_i = [workload l_i, CPU quota r_i]` (scaled).
 //!

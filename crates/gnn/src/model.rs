@@ -101,9 +101,9 @@ impl GnnGrads {
     }
 }
 
-/// Reusable forward/backward state for one batch shard: traces, stacked
-/// activations, a scratch-buffer pool, and the gradient sinks. Steady-state
-/// passes through a warm `GnnPass` do not touch the heap.
+/// Reusable forward/backward state for one batch: traces, stacked
+/// activations and a scratch-buffer pool. Steady-state passes through a warm
+/// `GnnPass` do not touch the heap.
 #[derive(Default)]
 struct GnnPass {
     ws: Workspace,
@@ -124,8 +124,14 @@ struct GnnPass {
     dx_stacked: Matrix,
     /// Input gradient in batch layout, `B × (n·F)`.
     dx: Matrix,
+}
+
+/// One training shard: its pass, its gradient sinks and its (already
+/// batch-weighted) loss contribution.
+#[derive(Default)]
+struct Shard {
+    pass: GnnPass,
     grads: GnnGrads,
-    /// This shard's (already batch-weighted) loss contribution.
     loss: f64,
 }
 
@@ -160,15 +166,16 @@ impl NetWts {
 
 /// Mutable per-model scratch, behind a `RefCell` so eval-mode entry points
 /// (`predict` takes `&self`) can reuse buffers too. Never shared across
-/// threads: workers each get their own [`GnnPass`] out of `chunks`.
+/// threads: workers each get their own [`Shard`] out of `chunks`.
 #[derive(Default)]
 struct GnnScratch {
-    /// Pass used by predict / grad_input / the solver's kept-trace path.
+    /// Pass of every eval forward and of the input-only backward after it.
     eval: GnnPass,
-    /// Row count of the retained eval forward (0 = no valid trace).
-    kept_rows: usize,
-    /// One pass per training shard.
-    chunks: Vec<GnnPass>,
+    /// Whether `eval` holds the trace of an eval forward under the current
+    /// parameters.
+    kept: bool,
+    /// One shard per training chunk.
+    chunks: Vec<Shard>,
     /// Per-chunk dropout seeds, drawn in chunk order on the calling thread.
     seeds: Vec<u64>,
     /// Weight transposes shared by every backward between parameter updates.
@@ -339,16 +346,34 @@ fn forward_stacked(
     nets.readout.forward_into(&pass.read_in, mode, &mut pass.t_read, &mut pass.y);
 }
 
+/// One network's backward: into its gradient sink when there is one,
+/// input-only otherwise (same `dx` either way).
+fn net_backward(
+    net: &Mlp,
+    trace: &MlpTrace,
+    dy: &Matrix,
+    sink: Option<&mut MlpGrads>,
+    ws: &mut Workspace,
+    dx: &mut Matrix,
+    wts: &[Matrix],
+) {
+    match sink {
+        Some(g) => net.backward_with_wt(trace, dy, g, ws, dx, wts),
+        None => net.backward_input(trace, dy, ws, dx, Some(wts)),
+    }
+}
+
 /// Stacked backward pass for the forward recorded in `pass` (output gradient
-/// in `pass.dy`). Parameter gradients accumulate into `pass.grads` (prepare
-/// them first); the input gradient lands in `pass.dx` (`B × (n·F)`). The
-/// networks are untouched.
+/// in `pass.dy`). Parameter gradients accumulate into `grads` (prepare them
+/// first); with `None` only the input gradient is computed. The input
+/// gradient lands in `pass.dx` (`B × (n·F)`). The networks are untouched.
 fn backward_stacked(
     nets: &GnnNets,
     graph: &GraphSpec,
     cfg: &GnnConfig,
     wts: &NetWts,
     pass: &mut GnnPass,
+    mut grads: Option<&mut GnnGrads>,
 ) {
     let n = graph.num_nodes();
     let (f, m, e) = (cfg.feature_dim, cfg.msg_dim, cfg.embed_dim);
@@ -356,10 +381,11 @@ fn backward_stacked(
 
     // Readout.
     let mut d_read_in = pass.ws.take(b, n * e);
-    nets.readout.backward_with_wt(
+    net_backward(
+        &nets.readout,
         &pass.t_read,
         &pass.dy,
-        &mut pass.grads.readout,
+        grads.as_deref_mut().map(|g| &mut g.readout),
         &mut pass.ws,
         &mut d_read_in,
         &wts.readout,
@@ -370,10 +396,11 @@ fn backward_stacked(
 
     // Step 2 backward.
     let mut d_gin2 = pass.ws.take(n * b, f + m);
-    nets.gamma2.backward_with_wt(
+    net_backward(
+        &nets.gamma2,
         &pass.t_gamma2,
         &d_e2,
-        &mut pass.grads.gamma2,
+        grads.as_deref_mut().map(|g| &mut g.gamma2),
         &mut pass.ws,
         &mut d_gin2,
         &wts.gamma2,
@@ -384,10 +411,11 @@ fn backward_stacked(
     scatter_msg_grads(graph, b, f, &d_gin2, &mut d_phi2_out);
     pass.ws.give(d_gin2);
     let mut d_e1 = pass.ws.take(n * b, e);
-    nets.phi2.backward_with_wt(
+    net_backward(
+        &nets.phi2,
         &pass.t_phi2,
         &d_phi2_out,
-        &mut pass.grads.phi2,
+        grads.as_deref_mut().map(|g| &mut g.phi2),
         &mut pass.ws,
         &mut d_e1,
         &wts.phi2,
@@ -396,10 +424,11 @@ fn backward_stacked(
 
     // Step 1 backward.
     let mut d_gin1 = pass.ws.take(n * b, f + m);
-    nets.gamma1.backward_with_wt(
+    net_backward(
+        &nets.gamma1,
         &pass.t_gamma1,
         &d_e1,
-        &mut pass.grads.gamma1,
+        grads.as_deref_mut().map(|g| &mut g.gamma1),
         &mut pass.ws,
         &mut d_gin1,
         &wts.gamma1,
@@ -410,10 +439,11 @@ fn backward_stacked(
     scatter_msg_grads(graph, b, f, &d_gin1, &mut d_phi1_out);
     pass.ws.give(d_gin1);
     let mut d_x_phi = pass.ws.take(n * b, f);
-    nets.phi1.backward_with_wt(
+    net_backward(
+        &nets.phi1,
         &pass.t_phi1,
         &d_phi1_out,
-        &mut pass.grads.phi1,
+        grads.map(|g| &mut g.phi1),
         &mut pass.ws,
         &mut d_x_phi,
         &wts.phi1,
@@ -466,17 +496,22 @@ impl MicroserviceGnn {
         self.nets.readout.for_each_param_mut(&mut f);
     }
 
-    /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.eval.dx`.
-    fn backward_kept(&mut self, x: &Matrix) {
-        let sc = self.scratch.get_mut();
-        sc.eval.dy.reshape_zeroed(x.rows(), 1);
-        sc.eval.dy.data_mut().fill(1.0);
-        sc.eval.grads.prepare(&self.nets);
-        sc.wts.refresh(&self.nets);
-        // Gradients land in the scratch sinks, never the parameters, so
-        // training state is untouched by construction.
-        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval);
+    /// Eval-mode forward of `x` through the shared eval pass, retaining its
+    /// trace for [`LatencyNet::grad_kept_into`].
+    fn forward_eval(&self, x: &Matrix) {
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
+        forward_stacked(
+            &self.nets,
+            &self.graph,
+            &self.cfg,
+            x,
+            0,
+            x.rows(),
+            &mut Mode::Eval,
+            &mut sc.eval,
+        );
+        sc.kept = true;
     }
 }
 
@@ -490,20 +525,26 @@ impl LatencyNet for MicroserviceGnn {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
-        forward_stacked(
-            &self.nets,
-            &self.graph,
-            &self.cfg,
-            x,
-            0,
-            x.rows(),
-            &mut Mode::Eval,
-            &mut sc.eval,
-        );
-        sc.kept_rows = x.rows();
-        sc.eval.y.data().to_vec()
+        self.forward_eval(x);
+        self.scratch.borrow().eval.y.data().to_vec()
+    }
+
+    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
+        self.forward_eval(x);
+        out.clear();
+        out.extend_from_slice(self.scratch.get_mut().eval.y.data());
+    }
+
+    fn grad_kept_into(&mut self, dx: &mut Matrix) {
+        let sc = self.scratch.get_mut();
+        assert!(sc.kept, "grad_kept_into needs a preceding eval forward");
+        sc.eval.dy.reshape_zeroed(sc.eval.y.rows(), 1);
+        sc.eval.dy.data_mut().fill(1.0);
+        sc.wts.refresh(&self.nets);
+        // Input-only: no gradient sink, so training state is untouched by
+        // construction and no parameter-gradient product is computed.
+        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval, None);
+        dx.copy_from(&sc.eval.dx);
     }
 
     fn train_step(
@@ -518,13 +559,13 @@ impl LatencyNet for MicroserviceGnn {
         let b = x.rows();
         let n_chunks = b.div_ceil(CHUNK_ROWS).max(1);
         let mut scratch = std::mem::take(self.scratch.get_mut());
-        scratch.kept_rows = 0; // parameters are about to change: kept trace is stale
+        scratch.kept = false; // parameters are about to change: kept trace is stale
         scratch.seeds.clear();
         for _ in 0..n_chunks {
             scratch.seeds.push(rng.uniform_u64(0, u64::MAX));
         }
         if scratch.chunks.len() < n_chunks {
-            scratch.chunks.resize_with(n_chunks, GnnPass::default);
+            scratch.chunks.resize_with(n_chunks, Shard::default);
         }
         {
             let _fb_scope = self.prof.enter("train.forward_backward");
@@ -535,10 +576,11 @@ impl LatencyNet for MicroserviceGnn {
             wts.refresh(nets);
             let seeds = &*seeds;
             let wts = &*wts;
-            let run = |pass: &mut GnnPass, ci: usize| {
+            let run = |shard: &mut Shard, ci: usize| {
                 let r0 = ci * CHUNK_ROWS;
                 let r1 = (r0 + CHUNK_ROWS).min(b);
                 let mut drop_rng = DetRng::new(seeds[ci]);
+                let pass = &mut shard.pass;
                 forward_stacked(nets, graph, cfg, x, r0, r1, &mut Mode::Train(&mut drop_rng), pass);
                 // The chunk loss/gradient are means over the chunk; weight by
                 // chunk_size/batch_size so the reduced step equals one full-
@@ -549,26 +591,26 @@ impl LatencyNet for MicroserviceGnn {
                 for g in pass.dy.data_mut() {
                     *g *= frac;
                 }
-                pass.loss = chunk_loss * frac;
-                pass.grads.prepare(nets);
-                backward_stacked(nets, graph, cfg, wts, pass);
+                shard.loss = chunk_loss * frac;
+                shard.grads.prepare(nets);
+                backward_stacked(nets, graph, cfg, wts, pass, Some(&mut shard.grads));
             };
             if threads <= 1 {
-                for (ci, pass) in chunks[..n_chunks].iter_mut().enumerate() {
-                    run(pass, ci);
+                for (ci, shard) in chunks[..n_chunks].iter_mut().enumerate() {
+                    run(shard, ci);
                 }
             } else {
-                let mut buckets: Vec<Vec<(usize, &mut GnnPass)>> =
+                let mut buckets: Vec<Vec<(usize, &mut Shard)>> =
                     (0..threads).map(|_| Vec::new()).collect();
-                for (ci, pass) in chunks[..n_chunks].iter_mut().enumerate() {
-                    buckets[ci % threads].push((ci, pass));
+                for (ci, shard) in chunks[..n_chunks].iter_mut().enumerate() {
+                    buckets[ci % threads].push((ci, shard));
                 }
                 let run = &run;
                 std::thread::scope(|s| {
                     for bucket in buckets {
                         s.spawn(move || {
-                            for (ci, pass) in bucket {
-                                run(pass, ci);
+                            for (ci, shard) in bucket {
+                                run(shard, ci);
                             }
                         });
                     }
@@ -579,14 +621,14 @@ impl LatencyNet for MicroserviceGnn {
         // ascending chunk index, so the sum is identical for any thread count.
         let _reduce_scope = self.prof.enter("train.reduce");
         let mut total = 0.0;
-        for pass in &scratch.chunks[..n_chunks] {
+        for shard in &scratch.chunks[..n_chunks] {
             // graf-lint: allow(float-reduction, this IS the ordered reduction — ascending chunk index, thread-count-invariant by tier-1 test)
-            total += pass.loss;
-            self.nets.phi1.accumulate_grads(&pass.grads.phi1);
-            self.nets.gamma1.accumulate_grads(&pass.grads.gamma1);
-            self.nets.phi2.accumulate_grads(&pass.grads.phi2);
-            self.nets.gamma2.accumulate_grads(&pass.grads.gamma2);
-            self.nets.readout.accumulate_grads(&pass.grads.readout);
+            total += shard.loss;
+            self.nets.phi1.accumulate_grads(&shard.grads.phi1);
+            self.nets.gamma1.accumulate_grads(&shard.grads.gamma1);
+            self.nets.phi2.accumulate_grads(&shard.grads.phi2);
+            self.nets.gamma2.accumulate_grads(&shard.grads.gamma2);
+            self.nets.readout.accumulate_grads(&shard.grads.readout);
         }
         // Split step across the five networks: no `Vec<&mut Param>` temporary.
         drop(_reduce_scope);
@@ -599,24 +641,6 @@ impl LatencyNet for MicroserviceGnn {
         total
     }
 
-    fn grad_input(&mut self, x: &Matrix) -> Matrix {
-        {
-            let sc = self.scratch.get_mut();
-            forward_stacked(
-                &self.nets,
-                &self.graph,
-                &self.cfg,
-                x,
-                0,
-                x.rows(),
-                &mut Mode::Eval,
-                &mut sc.eval,
-            );
-            sc.kept_rows = x.rows();
-        }
-        self.grad_from_kept(x)
-    }
-
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -625,55 +649,11 @@ impl LatencyNet for MicroserviceGnn {
         self.prof = prof;
     }
 
-    fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            return self.grad_input(x);
-        }
-        self.backward_kept(x);
-        self.scratch.get_mut().eval.dx.clone()
-    }
-
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let sc = self.scratch.get_mut();
-        forward_stacked(
-            &self.nets,
-            &self.graph,
-            &self.cfg,
-            x,
-            0,
-            x.rows(),
-            &mut Mode::Eval,
-            &mut sc.eval,
-        );
-        sc.kept_rows = x.rows();
-        out.clear();
-        out.extend_from_slice(sc.eval.y.data());
-    }
-
-    fn grad_from_kept_into(&mut self, x: &Matrix, dx: &mut Matrix) {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            let sc = self.scratch.get_mut();
-            forward_stacked(
-                &self.nets,
-                &self.graph,
-                &self.cfg,
-                x,
-                0,
-                x.rows(),
-                &mut Mode::Eval,
-                &mut sc.eval,
-            );
-            sc.kept_rows = x.rows();
-        }
-        self.backward_kept(x);
-        dx.copy_from(&self.scratch.get_mut().eval.dx);
-    }
-
     fn scratch_stats(&self) -> (u64, u64) {
         let sc = self.scratch.borrow();
         let (mut reused, mut allocated) = sc.eval.ws.stats();
         for c in &sc.chunks {
-            let (r, a) = c.ws.stats();
+            let (r, a) = c.pass.ws.stats();
             reused += r;
             allocated += a;
         }
@@ -998,10 +978,66 @@ mod tests {
         let mut gnn = MicroserviceGnn::new(chain_graph(3), small_cfg(), &mut rng);
         let x = Matrix::from_fn(1, 6, |_, c| 0.1 * (c as f64) + 0.05);
         let slow = gnn.grad_input(&x);
-        let pred = gnn.predict(&x); // retains the trace
-        let fast = gnn.grad_from_kept(&x);
+        let mut pred = Vec::new();
+        gnn.predict_keep_into(&x, &mut pred); // retains the trace
+        let mut fast = Matrix::default();
+        gnn.grad_kept_into(&mut fast);
         assert_eq!(slow.data(), fast.data(), "kept-trace gradient matches the fresh one");
         assert_eq!(pred, gnn.predict(&x), "gradient extraction leaves predictions unchanged");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a preceding eval forward")]
+    fn grad_kept_into_rejects_a_stale_trace() {
+        let mut rng = DetRng::new(61);
+        let mut gnn = MicroserviceGnn::new(chain_graph(2), small_cfg(), &mut rng);
+        let x = Matrix::from_fn(2, 4, |r, c| 0.1 * (r + c) as f64);
+        let _ = gnn.predict(&x);
+        let mut opt = Adam::new(1e-3);
+        gnn.train_step(&x, &[1.0, 2.0], &AsymmetricHuber::default(), &mut opt, &mut rng);
+        gnn.grad_kept_into(&mut Matrix::default());
+    }
+
+    /// The input-only backward's `dx` against the full backward's (which
+    /// also fills every parameter-gradient sink), bit for bit, on the
+    /// retained eval trace of `x`, at the paper's layer widths.
+    fn assert_input_only_dx_matches_full(graph: GraphSpec, seed: u64) {
+        let mut rng = DetRng::new(seed);
+        let mut gnn = MicroserviceGnn::new(graph, GnnConfig::default(), &mut rng);
+        let cols = gnn.num_nodes() * 2;
+        for rows in [1, 3] {
+            let x = Matrix::from_fn(rows, cols, |r, c| 0.3 + 0.11 * c as f64 - 0.07 * r as f64);
+            let input_only = gnn.grad_input(&x);
+            let sc = gnn.scratch.get_mut();
+            let mut grads = GnnGrads::default();
+            grads.prepare(&gnn.nets);
+            backward_stacked(
+                &gnn.nets,
+                &gnn.graph,
+                &gnn.cfg,
+                &sc.wts,
+                &mut sc.eval,
+                Some(&mut grads),
+            );
+            let mut filled = gnn.nets.readout.clone();
+            filled.accumulate_grads(&grads.readout);
+            let nonzero =
+                filled.params_mut().iter().any(|p| p.grad.data().iter().any(|&g| g != 0.0));
+            assert!(nonzero, "the full backward fills the sinks");
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&input_only), bits(&sc.eval.dx), "rows {rows}");
+        }
+    }
+
+    #[test]
+    fn input_only_backward_matches_full_backward() {
+        // Online Boutique's six controlled services: the frontend fans out to
+        // all five, and recommendation consults the product catalog.
+        let boutique = GraphSpec::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 3)]);
+        assert_input_only_dx_matches_full(boutique, 80);
+        // Social-Network-shaped fan-out with a rejoin.
+        let fanout = GraphSpec::from_edges(6, &[(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (3, 5)]);
+        assert_input_only_dx_matches_full(fanout, 81);
     }
 
     #[test]

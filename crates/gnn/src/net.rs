@@ -16,7 +16,26 @@ pub trait LatencyNet {
     fn feature_dim(&self) -> usize;
 
     /// Predicts latency for a batch (eval mode, dropout off).
+    ///
+    /// Like every eval forward it retains its trace, which a following
+    /// [`LatencyNet::grad_kept_into`] back-propagates.
     fn predict(&self, x: &Matrix) -> Vec<f64>;
+
+    /// [`LatencyNet::predict`] writing the predictions into `out` (cleared
+    /// and refilled, capacity reused), so the solver's per-iteration forward
+    /// is allocation-free in steady state.
+    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>);
+
+    /// Gradient of the summed prediction with respect to the input features
+    /// of the latest eval forward, written into `dx` (reshaped to that
+    /// batch's shape). It reuses the retained trace and computes no
+    /// parameter gradient: one forward plus this is the solver's fused
+    /// predict-and-differentiate step (§3.5).
+    ///
+    /// # Panics
+    /// Panics if no eval forward ran since construction or the last
+    /// [`LatencyNet::train_step`].
+    fn grad_kept_into(&mut self, dx: &mut Matrix);
 
     /// One training step: forward in train mode, asymmetric-Hüber loss,
     /// backward, Adam update. Returns the batch loss.
@@ -35,10 +54,16 @@ pub trait LatencyNet {
         loss.batch(&pred, y).0
     }
 
-    /// Gradient of the summed prediction with respect to the input features
-    /// (eval mode). Shape matches `x`. This is what the configuration solver
-    /// chains with its own loss to walk quotas downhill (§3.5).
-    fn grad_input(&mut self, x: &Matrix) -> Matrix;
+    /// Gradient of the summed prediction with respect to `x` (eval mode),
+    /// shaped like `x`: a fresh forward plus [`LatencyNet::grad_kept_into`].
+    /// Allocating convenience wrapper.
+    fn grad_input(&mut self, x: &Matrix) -> Matrix {
+        let mut pred = Vec::new();
+        self.predict_keep_into(x, &mut pred);
+        let mut dx = Matrix::default();
+        self.grad_kept_into(&mut dx);
+        dx
+    }
 
     /// Sets the worker-thread count used by [`LatencyNet::train_step`].
     /// Implementations without a parallel path ignore it.
@@ -50,40 +75,6 @@ pub trait LatencyNet {
     /// Implementations without instrumentation ignore it. Profiling never
     /// alters numerics: a disabled handle costs one branch per scope.
     fn set_prof(&mut self, _prof: graf_prof::Prof) {}
-
-    /// Eval-mode prediction that retains the forward trace so a following
-    /// [`LatencyNet::grad_from_kept`] can reuse it (the solver's fused
-    /// forward+backward fast path, §3.5). Default: plain [`predict`].
-    ///
-    /// [`predict`]: LatencyNet::predict
-    fn predict_keep(&mut self, x: &Matrix) -> Vec<f64> {
-        self.predict(x)
-    }
-
-    /// Input gradient reusing the trace retained by the immediately preceding
-    /// [`LatencyNet::predict_keep`] call on the same batch `x`. Default: a
-    /// fresh [`LatencyNet::grad_input`] (correct but re-runs the forward).
-    fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
-        self.grad_input(x)
-    }
-
-    /// [`LatencyNet::predict_keep`] writing predictions into `out` (cleared
-    /// and refilled, capacity reused). The default delegates and copies;
-    /// implementations override it to skip the intermediate `Vec` so the
-    /// solver's per-iteration forward is allocation-free in steady state.
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let pred = self.predict_keep(x);
-        out.clear();
-        out.extend_from_slice(&pred);
-    }
-
-    /// [`LatencyNet::grad_from_kept`] writing the input gradient into `dx`
-    /// (reshaped in place). The default delegates and copies; implementations
-    /// override it to write straight from their retained scratch.
-    fn grad_from_kept_into(&mut self, x: &Matrix, dx: &mut Matrix) {
-        let g = self.grad_from_kept(x);
-        dx.copy_from(&g);
-    }
 
     /// `(reused, allocated)` scratch-buffer counts since construction, for
     /// telemetry (allocation-avoidance counters). Default: zeros.

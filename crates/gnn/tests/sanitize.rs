@@ -44,10 +44,10 @@ fn gnn_solver_fast_path_is_allocation_free_in_steady_state() {
     let mut dx = Matrix::default();
 
     net.predict_keep_into(&x, &mut pred);
-    net.grad_from_kept_into(&x, &mut dx);
-    assert_no_alloc("gnn predict_keep_into + grad_from_kept_into", || {
+    net.grad_kept_into(&mut dx);
+    assert_no_alloc("gnn predict_keep_into + grad_kept_into", || {
         net.predict_keep_into(&x, &mut pred);
-        net.grad_from_kept_into(&x, &mut dx);
+        net.grad_kept_into(&mut dx);
     });
     assert_eq!(pred.len(), 1);
     assert_eq!((dx.rows(), dx.cols()), (1, 6));

@@ -5,6 +5,11 @@
 //! loops run on, all built on one dispatching product core
 //! (`accumulate_matmul`):
 //!
+//! * **Single rows at the readout width** (the solver's batch-of-one
+//!   inference and input gradient): `single_row_matmul` holds the whole
+//!   120-wide output row in registers across the k loop, with the same
+//!   per-element FMA chain as the tiled path below, so results are
+//!   bit-identical to it.
 //! * **Wide outputs** (≥ `SKIP_MIN_WIDTH` columns, e.g. the 120-wide
 //!   readout layers): each `A` row is compacted branchlessly into its
 //!   nonzero (index, value) pairs per `KB`-sized k-block — ReLU + dropout
@@ -502,75 +507,13 @@ fn accumulate_matmul(
     out: &mut [f64],
     init: bool,
 ) {
+    // Single-row products at the readout width (the solver's B = 1
+    // forward/backward) keep the whole output row in registers.
+    if m == 1 && n == READOUT_WIDTH {
+        return single_row_matmul::<READOUT_WIDTH>(a, b, out, init);
+    }
     if n >= SKIP_MIN_WIDTH {
-        // Wide path. Three tricks:
-        // * k is blocked so the active `b` slab (`KB × n` ≤ ~23 KB) stays
-        //   L1-resident across every `a` row — unblocked, each row re-streams
-        //   the whole `b` matrix (~113 KB for the readout weights) from L2,
-        //   and that bandwidth, not FMA throughput, bounds the kernel.
-        // * Each `a` row's nonzeros in the block are compacted branchlessly
-        //   into (index, value) arrays — post-ReLU/dropout activations are
-        //   mostly zeros, and a compressed loop drops that work without the
-        //   data-dependent branch a skip would mispredict on.
-        // * A fixed-width accumulator tile lives in SIMD registers across
-        //   the block's k loop, so each output element is touched once per
-        //   block instead of once per nonzero k.
-        const TILE: usize = 32;
-        const KB: usize = 48;
-        let mut idx = [0u32; KB];
-        let mut vals = [0.0f64; KB];
-        let mut k0 = 0;
-        while k0 < kd {
-            let kb = KB.min(kd - k0);
-            // On the first block an `init` call starts its accumulators at
-            // zero instead of loading `out`, so callers need not pre-zero.
-            let fresh = init && k0 == 0;
-            for r in 0..m {
-                let arow = &a[r * kd + k0..r * kd + k0 + kb];
-                let mut cnt = 0usize;
-                for (k, &s) in arow.iter().enumerate() {
-                    idx[cnt] = (k0 + k) as u32;
-                    vals[cnt] = s;
-                    cnt += (s != 0.0) as usize;
-                }
-                if cnt == 0 && !fresh {
-                    continue;
-                }
-                let mut c0 = 0;
-                while c0 + TILE <= n {
-                    let orow = &mut out[r * n + c0..r * n + c0 + TILE];
-                    let mut acc = [0.0f64; TILE];
-                    if !fresh {
-                        acc.copy_from_slice(orow);
-                    }
-                    for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
-                        let brow = &b[k as usize * n + c0..k as usize * n + c0 + TILE];
-                        for (av, &bv) in acc.iter_mut().zip(brow) {
-                            *av = s.mul_add(bv, *av);
-                        }
-                    }
-                    orow.copy_from_slice(&acc);
-                    c0 += TILE;
-                }
-                if c0 < n {
-                    let w = n - c0;
-                    let orow = &mut out[r * n + c0..r * n + c0 + w];
-                    let mut acc = [0.0f64; TILE];
-                    if !fresh {
-                        acc[..w].copy_from_slice(orow);
-                    }
-                    for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
-                        let brow = &b[k as usize * n + c0..k as usize * n + c0 + w];
-                        for (av, &bv) in acc[..w].iter_mut().zip(brow) {
-                            *av = s.mul_add(bv, *av);
-                        }
-                    }
-                    orow.copy_from_slice(&acc[..w]);
-                }
-            }
-            k0 += kb;
-        }
-        return;
+        return wide_tile_matmul(a, m, kd, b, n, out, init);
     }
     // Monomorphise the common narrow widths (hidden/message dims of the
     // paper's φ/γ nets) so the accumulator tile below has a compile-time
@@ -612,14 +555,139 @@ fn accumulate_matmul(
     while r < m {
         let orow = &mut out[r * n..(r + 1) * n];
         let arow = &a[r * kd..(r + 1) * kd];
-        for (k, &s) in arow.iter().enumerate() {
-            let brow = &b[k * n..(k + 1) * n];
-            for (v, &bv) in orow.iter_mut().zip(brow) {
-                *v = s.mul_add(bv, *v);
+        if n == 1 {
+            // A single output (the readout's last layer): the same serial
+            // FMA chain, carried in a register instead of through memory.
+            orow[0] = arow.iter().zip(b).fold(orow[0], |acc, (&s, &bv)| s.mul_add(bv, acc));
+        } else {
+            for (k, &s) in arow.iter().enumerate() {
+                let brow = &b[k * n..(k + 1) * n];
+                for (v, &bv) in orow.iter_mut().zip(brow) {
+                    *v = s.mul_add(bv, *v);
+                }
             }
         }
         r += 1;
     }
+}
+
+/// Wide-output (`n ≥ SKIP_MIN_WIDTH`) core of [`accumulate_matmul`], same
+/// contract. Three tricks:
+/// * k is blocked so the active `b` slab (`KB × n` ≤ ~23 KB) stays
+///   L1-resident across every `a` row — unblocked, each row re-streams the
+///   whole `b` matrix (~113 KB for the readout weights) from L2, and that
+///   bandwidth, not FMA throughput, bounds the kernel.
+/// * Each `a` row's nonzeros in the block are compacted branchlessly into
+///   (index, value) arrays — post-ReLU/dropout activations are mostly
+///   zeros, and a compressed loop drops that work without the
+///   data-dependent branch a skip would mispredict on.
+/// * A fixed-width accumulator tile lives in SIMD registers across the
+///   block's k loop, so each output element is touched once per block
+///   instead of once per nonzero k.
+fn wide_tile_matmul(
+    a: &[f64],
+    m: usize,
+    kd: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    init: bool,
+) {
+    const TILE: usize = 32;
+    const KB: usize = 48;
+    let mut idx = [0u32; KB];
+    let mut vals = [0.0f64; KB];
+    let mut k0 = 0;
+    while k0 < kd {
+        let kb = KB.min(kd - k0);
+        // On the first block an `init` call starts its accumulators at
+        // zero instead of loading `out`, so callers need not pre-zero.
+        let fresh = init && k0 == 0;
+        for r in 0..m {
+            let arow = &a[r * kd + k0..r * kd + k0 + kb];
+            let mut cnt = 0usize;
+            for (k, &s) in arow.iter().enumerate() {
+                idx[cnt] = (k0 + k) as u32;
+                vals[cnt] = s;
+                cnt += (s != 0.0) as usize;
+            }
+            if cnt == 0 && !fresh {
+                continue;
+            }
+            let mut c0 = 0;
+            while c0 + TILE <= n {
+                let orow = &mut out[r * n + c0..r * n + c0 + TILE];
+                let mut acc = [0.0f64; TILE];
+                if !fresh {
+                    acc.copy_from_slice(orow);
+                }
+                for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
+                    let brow = &b[k as usize * n + c0..k as usize * n + c0 + TILE];
+                    for (av, &bv) in acc.iter_mut().zip(brow) {
+                        *av = s.mul_add(bv, *av);
+                    }
+                }
+                orow.copy_from_slice(&acc);
+                c0 += TILE;
+            }
+            if c0 < n {
+                let w = n - c0;
+                let orow = &mut out[r * n + c0..r * n + c0 + w];
+                let mut acc = [0.0f64; TILE];
+                if !fresh {
+                    acc[..w].copy_from_slice(orow);
+                }
+                for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
+                    let brow = &b[k as usize * n + c0..k as usize * n + c0 + w];
+                    for (av, &bv) in acc[..w].iter_mut().zip(brow) {
+                        *av = s.mul_add(bv, *av);
+                    }
+                }
+                orow.copy_from_slice(&acc[..w]);
+            }
+        }
+        k0 += kb;
+    }
+}
+
+/// Output width of the single-row register kernel: the readout's hidden
+/// width (§4's "two hidden layers with 120 hidden units").
+const READOUT_WIDTH: usize = 120;
+
+/// `out (1×N) += a (1×k) × b (k×N)` (or `=` when `init`) with the whole
+/// output row held in registers across the k loop — no k-blocking, no
+/// column tiles, one load and one store of `out`.
+///
+/// Each output element sees exactly the chain of the tiled wide path: it
+/// starts from `out` (or `0.0` when `init`) and takes one FMA per nonzero
+/// `a[k]`, in ascending `k`. Zero and `-0.0` entries are skipped, so the
+/// results are bit-identical to it (including `0 × ∞` never being formed).
+/// The nonzeros are compacted branchlessly in `KB`-sized blocks first, as
+/// there, so random ReLU sparsity costs no mispredicted branches.
+fn single_row_matmul<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64], init: bool) {
+    const KB: usize = 64;
+    debug_assert_eq!(b.len(), a.len() * N);
+    let mut acc = [0.0f64; N];
+    if !init {
+        acc.copy_from_slice(out);
+    }
+    let mut idx = [0u32; KB];
+    let mut vals = [0.0f64; KB];
+    for (blk, chunk) in a.chunks(KB).enumerate() {
+        let mut cnt = 0usize;
+        for (k, &s) in chunk.iter().enumerate() {
+            idx[cnt] = (blk * KB + k) as u32;
+            vals[cnt] = s;
+            cnt += (s != 0.0) as usize;
+        }
+        for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
+            let brow = &b[k as usize * N..(k as usize + 1) * N];
+            for i in 0..N {
+                acc[i] = s.mul_add(brow[i], acc[i]);
+            }
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// Narrow-output matmul with a compile-time row width: four output rows of
@@ -682,6 +750,7 @@ fn narrow_tile_matmul<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graf_sim::rng::DetRng;
 
     #[test]
     fn matmul_known_values() {
@@ -862,5 +931,146 @@ mod tests {
         let s = a.slice_rows(1, 3);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.data(), &[2., 3., 4., 5.]);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `rows × cols` operand with roughly `zero_pct` % zeros (a quarter of
+    /// them `-0.0`) and normal values elsewhere.
+    fn sparse_operand(rng: &mut DetRng, rows: usize, cols: usize, zero_pct: u32) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.uniform_u64(0, 100) < zero_pct as u64 {
+                if rng.chance(0.25) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                rng.std_normal()
+            }
+        })
+    }
+
+    /// The tiled wide path on a fresh copy of `init_out` (`None` = `init`).
+    fn tiled(a: &Matrix, b: &Matrix, init_out: Option<&[f64]>) -> Vec<f64> {
+        let mut out = match init_out {
+            Some(o) => o.to_vec(),
+            None => vec![f64::NAN; b.cols()],
+        };
+        wide_tile_matmul(a.data(), 1, a.cols(), b.data(), b.cols(), &mut out, init_out.is_none());
+        out
+    }
+
+    /// Every single-row entry point against the tiled path it replaces.
+    fn assert_single_row_matches_tiled(a: &Matrix, b: &Matrix, bias: &Matrix) {
+        let n = b.cols();
+        let mut got = Matrix::default();
+        a.matmul_into(b, &mut got);
+        assert_eq!(bits(got.data()), bits(&tiled(a, b, None)), "matmul_into, n = {n}");
+        let mut acc = bias.clone();
+        a.matmul_acc(b, &mut acc);
+        assert_eq!(bits(acc.data()), bits(&tiled(a, b, Some(bias.data()))), "matmul_acc, n = {n}");
+        a.affine_into(b, bias, &mut got);
+        assert_eq!(bits(got.data()), bits(&tiled(a, b, Some(bias.data()))), "affine_into, n = {n}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The single-row register kernel (and the tiled path that still
+        /// serves the other wide widths) reproduce the tiled kernel bit for
+        /// bit, at random sparsity, depth and width.
+        #[test]
+        fn single_row_dispatch_is_bit_identical_to_tiled(
+            seed in 0u64..1_000_000,
+            kd in 1usize..300,
+            width in 0usize..6,
+            zero_pct in 0u32..=100,
+        ) {
+            let n = [READOUT_WIDTH, READOUT_WIDTH, 48, 119, 121, 200][width];
+            let mut rng = DetRng::new(seed);
+            let a = sparse_operand(&mut rng, 1, kd, zero_pct);
+            let b = sparse_operand(&mut rng, kd, n, 10);
+            let bias = sparse_operand(&mut rng, 1, n, 10);
+            assert_single_row_matches_tiled(&a, &b, &bias);
+        }
+    }
+
+    /// The single-output path keeps the dense fallback's serial chain: start
+    /// from `out` (or `0.0`), then one FMA per `k` in ascending order, zeros
+    /// included.
+    #[test]
+    fn single_output_chain_matches_the_serial_reference() {
+        let mut rng = DetRng::new(6);
+        for (m, kd) in [(1, 120), (1, 1), (3, 17), (6, 40)] {
+            let a = sparse_operand(&mut rng, m, kd, 40);
+            let b = sparse_operand(&mut rng, kd, 1, 10);
+            let bias = sparse_operand(&mut rng, 1, 1, 0);
+            let chain = |start: f64, r: usize| {
+                (0..kd).fold(start, |acc, k| a.get(r, k).mul_add(b.get(k, 0), acc))
+            };
+            let mut got = Matrix::default();
+            a.matmul_into(&b, &mut got);
+            let want: Vec<f64> = (0..m).map(|r| chain(0.0, r)).collect();
+            assert_eq!(bits(got.data()), bits(&want), "matmul_into, m = {m}");
+            a.affine_into(&b, &bias, &mut got);
+            let want: Vec<f64> = (0..m).map(|r| chain(bias.get(0, 0), r)).collect();
+            assert_eq!(bits(got.data()), bits(&want), "affine_into, m = {m}");
+        }
+    }
+
+    #[test]
+    fn single_row_edge_operands_match_tiled() {
+        let n = READOUT_WIDTH;
+        let kd = 130;
+        let mut rng = DetRng::new(5);
+        let b = sparse_operand(&mut rng, kd, n, 0);
+        let bias = sparse_operand(&mut rng, 1, n, 0);
+        // All-zero and all-`-0.0` rows: the output is exactly the start value.
+        for z in [0.0, -0.0] {
+            let a = Matrix::from_fn(1, kd, |_, _| z);
+            assert_single_row_matches_tiled(&a, &b, &bias);
+            let mut out = Matrix::default();
+            a.matmul_into(&b, &mut out);
+            assert!(out.data().iter().all(|v| v.to_bits() == 0), "zero row gives +0.0");
+        }
+        // Non-finite operands go through the accumulating entry point only,
+        // since `matmul_into`/`affine_into` poison-check their outputs in
+        // debug builds. First ∞ in `b` behind zero `a` entries, which both
+        // paths skip, so `0 · ∞` never turns the column into NaN.
+        let mut a = sparse_operand(&mut rng, 1, kd, 30);
+        let mut b = b.clone();
+        a.set(0, 6, 0.0);
+        a.set(0, 7, -0.0);
+        b.set(6, 1, f64::INFINITY);
+        b.set(7, 2, f64::NAN);
+        let mut acc = bias.clone();
+        a.matmul_acc(&b, &mut acc);
+        assert_eq!(bits(acc.data()), bits(&tiled(&a, &b, Some(bias.data()))));
+        assert!(acc.get(0, 1).is_finite() && acc.get(0, 2).is_finite(), "zeros skip ∞/NaN rows");
+        // Then ±∞ and NaN in `a`, in `b` and in the start row.
+        a.set(0, 3, f64::INFINITY);
+        a.set(0, 129, f64::NEG_INFINITY);
+        b.set(5, 0, f64::NAN);
+        a.set(0, 5, 1.5);
+        let mut start = bias.clone();
+        start.set(0, 2, f64::NAN);
+        start.set(0, 119, f64::NEG_INFINITY);
+        let mut acc = start.clone();
+        a.matmul_acc(&b, &mut acc);
+        assert_eq!(bits(acc.data()), bits(&tiled(&a, &b, Some(start.data()))));
+        a.set(0, 70, f64::NAN);
+        let mut fresh = vec![f64::NAN; n];
+        accumulate_matmul(a.data(), 1, kd, b.data(), n, &mut fresh, true);
+        assert_eq!(bits(&fresh), bits(&tiled(&a, &b, None)));
+        // Widths off the monomorphised one keep taking the tiled path.
+        for n in [READOUT_WIDTH - 1, READOUT_WIDTH + 1] {
+            let b = sparse_operand(&mut rng, kd, n, 0);
+            let mut acc = Matrix::zeros(1, n);
+            a.matmul_acc(&b, &mut acc);
+            assert_eq!(bits(acc.data()), bits(&tiled(&a, &b, Some(&vec![0.0; n]))), "n = {n}");
+        }
     }
 }

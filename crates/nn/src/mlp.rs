@@ -12,7 +12,9 @@
 //! `i+1`'s input, and the ReLU gate is recovered from the sign of that
 //! output) plus the dropout masks, every buffer is reshaped in place, and
 //! gradients land in an external [`MlpGrads`] sink so the network itself can
-//! be shared immutably across training workers.
+//! be shared immutably across training workers. [`Mlp::backward_input`] is
+//! the inference-side variant: the same input gradient with no sink and no
+//! parameter-gradient products.
 
 use graf_sim::rng::DetRng;
 
@@ -210,7 +212,7 @@ impl Mlp {
         ws: &mut Workspace,
         dx: &mut Matrix,
     ) {
-        self.backward_impl(trace, grad_out, grads, ws, dx, None);
+        self.backward_impl(trace, grad_out, Some(grads), ws, dx, None);
     }
 
     /// [`Mlp::backward_with`] with caller-provided weight transposes (from
@@ -225,22 +227,43 @@ impl Mlp {
         dx: &mut Matrix,
         wts: &[Matrix],
     ) {
-        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, grads, ws, dx, Some(wts));
+        self.backward_impl(trace, grad_out, Some(grads), ws, dx, Some(wts));
     }
 
+    /// Input-only backward: the same `dx` as [`Mlp::backward_with`], bit
+    /// for bit, without computing any parameter gradient — the solver's
+    /// `∂pred/∂x` needs neither a gradient sink nor the `dW`/`db` products.
+    /// `wts` are optional cached transposes as for [`Mlp::backward_with_wt`].
+    pub fn backward_input(
+        &self,
+        trace: &MlpTrace,
+        grad_out: &Matrix,
+        ws: &mut Workspace,
+        dx: &mut Matrix,
+        wts: Option<&[Matrix]>,
+    ) {
+        self.backward_impl(trace, grad_out, None, ws, dx, wts);
+    }
+
+    /// Shared backward; parameter gradients accumulate into `grads` when
+    /// given and are skipped entirely otherwise (the `dx` chain is the same).
     fn backward_impl(
         &self,
         trace: &MlpTrace,
         grad_out: &Matrix,
-        grads: &mut MlpGrads,
+        mut grads: Option<&mut MlpGrads>,
         ws: &mut Workspace,
         dx: &mut Matrix,
         wts: Option<&[Matrix]>,
     ) {
         let l = self.weights.len();
         assert_eq!(trace.inputs.len(), l, "trace/network mismatch");
-        assert_eq!(grads.weights.len(), l, "grads/network mismatch");
+        if let Some(g) = &grads {
+            assert_eq!(g.weights.len(), l, "grads/network mismatch");
+        }
+        if let Some(ts) = wts {
+            assert_eq!(ts.len(), l, "transpose cache/network mismatch");
+        }
         let last = l - 1;
         let mut g = ws.take(grad_out.rows(), grad_out.cols());
         g.copy_from(grad_out);
@@ -264,15 +287,17 @@ impl Mlp {
                     }
                 }
             }
-            // dW += xᵀ × g. Materialising the (small) transposes routes both
-            // gradient products through the tiled, sparsity-skipping matmul
-            // kernel instead of rank-1 sweeps over the whole output.
-            let x = &trace.inputs[i];
-            let mut xt = ws.take(x.cols(), x.rows());
-            x.transpose_into(&mut xt);
-            xt.matmul_acc(&g, &mut grads.weights[i]);
-            ws.give(xt);
-            g.sum_rows_acc(&mut grads.biases[i]);
+            if let Some(grads) = grads.as_deref_mut() {
+                // dW += xᵀ × g. Materialising the (small) transposes routes
+                // both gradient products through the tiled, sparsity-skipping
+                // matmul kernel instead of rank-1 sweeps over the whole output.
+                let x = &trace.inputs[i];
+                let mut xt = ws.take(x.cols(), x.rows());
+                x.transpose_into(&mut xt);
+                xt.matmul_acc(&g, &mut grads.weights[i]);
+                ws.give(xt);
+                g.sum_rows_acc(&mut grads.biases[i]);
+            }
             // dx = g × Wᵀ — the gated `g` is far sparser than the weights.
             let w = &self.weights[i].value;
             let mut wt_scratch: Option<Matrix> = None;
@@ -466,6 +491,31 @@ mod tests {
         assert_eq!(dx_old.data(), dx_new.data(), "input gradients bit-identical");
         for (e, g) in expected.iter().zip(&grads.weights) {
             assert_eq!(e.data(), g.data(), "weight gradients bit-identical");
+        }
+    }
+
+    #[test]
+    fn backward_input_matches_backward_with_dx() {
+        let mut rng = DetRng::new(14);
+        let mlp = Mlp::new(&[7, 120, 120, 1], 0.25, &mut rng);
+        let mut wts = Vec::new();
+        mlp.transpose_weights_into(&mut wts);
+        let mut ws = Workspace::new();
+        for (rows, train) in [(1, false), (1, true), (5, false), (5, true)] {
+            let x = Matrix::from_fn(rows, 7, |r, c| (r as f64 - 1.5) * 0.4 + c as f64 * 0.1);
+            let dy = Matrix::from_fn(rows, 1, |r, _| 1.0 - 0.3 * r as f64);
+            let mut drop_rng = DetRng::new(15);
+            let mut mode = if train { Mode::Train(&mut drop_rng) } else { Mode::Eval };
+            let (_, trace) = mlp.forward(&x, &mut mode);
+            let mut grads = MlpGrads::zeroed_for(&mlp);
+            let mut full = Matrix::default();
+            mlp.backward_with(&trace, &dy, &mut grads, &mut ws, &mut full);
+            for cached in [None, Some(wts.as_slice())] {
+                let mut dx = Matrix::default();
+                mlp.backward_input(&trace, &dy, &mut ws, &mut dx, cached);
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dx), bits(&full), "rows {rows}, train {train}");
+            }
         }
     }
 

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace (every crate's unit, integration and property tests) =="
+cargo test -q --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
