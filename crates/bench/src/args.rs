@@ -7,11 +7,10 @@
 ///   configuration (slower, closer to the paper's statistical power).
 /// * `--samples <n>` — override the training-sample count.
 /// * `--quick` — shrink everything for a fast smoke run.
-/// * `--telemetry <path>` — enable the graf-obs telemetry layer: dump the
-///   JSONL event log to `path` and print the summary table at exit.
-/// * `--profile` — enable the hierarchical self-profiler; binaries print the
-///   per-phase wall-time tree at exit. Off by default (a disabled handle
-///   costs one branch per scope and changes no numerics).
+/// * `--telemetry <path>` — enable instrumentation and, at exit, dump the
+///   JSONL event log to `path` and print the telemetry summary table.
+/// * `--profile` — enable instrumentation and print the per-phase
+///   wall-time tree at exit.
 /// * `--audit <path>` — stream one JSON line per controller tick (inputs,
 ///   ladder rung, solver stats, applied deltas) to `path`; binaries that run
 ///   several controllers suffix the file name per run.
@@ -24,6 +23,11 @@
 /// * `--sim-threads <n>` — worker threads for the sharded simulation
 ///   executor (results are bit-identical for any value; unset = serial
 ///   `World`, which is also the differential reference).
+///
+/// `--telemetry` and `--profile` both enable the one [`graf_obs::Obs`]
+/// handle from [`Args::obs`], and [`Args::finish`] emits what each given
+/// flag asks for. Both are off by default: a disabled handle costs one
+/// branch per instrumentation point and changes no numerics.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -36,7 +40,7 @@ pub struct Args {
     pub quick: bool,
     /// JSONL telemetry dump path (telemetry stays disabled when unset).
     pub telemetry: Option<String>,
-    /// Enable the hierarchical self-profiler.
+    /// Print the per-phase wall-time tree at exit.
     pub profile: bool,
     /// JSONL decision-audit path (auditing stays disabled when unset).
     pub audit: Option<String>,
@@ -123,46 +127,33 @@ impl Args {
         out
     }
 
-    /// A telemetry handle honoring `--telemetry`: enabled when a dump path
-    /// was given, disabled (all no-ops) otherwise.
+    /// The instrumentation handle: enabled when `--telemetry` or
+    /// `--profile` was given, disabled (all no-ops) otherwise.
     pub fn obs(&self) -> graf_obs::Obs {
-        match &self.telemetry {
-            Some(path) => {
-                // Fail on an unwritable path now, not after the experiment ran.
-                std::fs::File::create(path)
-                    .unwrap_or_else(|e| panic!("cannot write telemetry to {path}: {e}"));
-                graf_obs::Obs::enabled()
-            }
-            None => graf_obs::Obs::disabled(),
+        if let Some(path) = &self.telemetry {
+            // Fail on an unwritable path now, not after the experiment ran.
+            std::fs::File::create(path)
+                .unwrap_or_else(|e| panic!("cannot write telemetry to {path}: {e}"));
         }
-    }
-
-    /// Finishes a telemetry session: writes the JSONL dump to the
-    /// `--telemetry` path and prints the summary table. No-op when telemetry
-    /// is off.
-    pub fn finish_telemetry(&self, obs: &graf_obs::Obs) {
-        let Some(path) = &self.telemetry else { return };
-        obs.write_jsonl_path(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("writing telemetry to {path}: {e}"));
-        println!("\n{}", obs.summary());
-        println!("telemetry written to {path}");
-    }
-
-    /// A self-profiler handle honoring `--profile`: enabled when the flag
-    /// was given, disabled (one branch per scope) otherwise.
-    pub fn prof(&self) -> graf_prof::Prof {
-        if self.profile {
-            graf_prof::Prof::enabled()
+        if self.telemetry.is_some() || self.profile {
+            graf_obs::Obs::enabled()
         } else {
-            graf_prof::Prof::disabled()
+            graf_obs::Obs::disabled()
         }
     }
 
-    /// Finishes a profiling session: prints the per-phase wall-time tree.
-    /// No-op when `--profile` was not given.
-    pub fn finish_profile(&self, prof: &graf_prof::Prof) {
-        if prof.is_enabled() {
-            println!("\n## self-profile (per-phase wall time)\n{}", prof.report().render());
+    /// Finishes an instrumented run: with `--profile`, prints the per-phase
+    /// wall-time tree; with `--telemetry`, writes the JSONL dump to its path
+    /// and prints the summary table. No-op when neither flag was given.
+    pub fn finish(&self, obs: &graf_obs::Obs) {
+        if self.profile {
+            println!("\n## self-profile (per-phase wall time)\n{}", obs.report().render());
+        }
+        if let Some(path) = &self.telemetry {
+            obs.write_jsonl_path(std::path::Path::new(path))
+                .unwrap_or_else(|e| panic!("writing telemetry to {path}: {e}"));
+            println!("\n{}", obs.summary());
+            println!("telemetry written to {path}");
         }
     }
 
@@ -229,11 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_enables_the_self_profiler() {
+    fn profile_flag_enables_the_one_handle() {
         let off = parse(&[]);
-        assert!(!off.profile && !off.prof().is_enabled());
+        assert!(!off.profile && !off.obs().is_enabled());
         let on = parse(&["--profile"]);
-        assert!(on.profile && on.prof().is_enabled());
+        assert!(on.profile && on.telemetry.is_none() && on.obs().is_enabled());
+        let both = parse(&["--profile", "--telemetry", "/tmp/t.jsonl"]);
+        assert!(both.obs().is_enabled());
     }
 
     #[test]

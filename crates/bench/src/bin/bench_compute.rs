@@ -32,6 +32,8 @@ use graf_core::sample_collector::{Bounds, Sample};
 use graf_core::solver::{integer_refine, solve, SolverConfig};
 use graf_gnn::{GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
+use graf_obs::json::{self, Json};
+use graf_obs::Obs;
 use graf_sim::exec::ShardedWorld;
 use graf_sim::rng::DetRng;
 use graf_sim::time::SimTime;
@@ -79,7 +81,7 @@ fn bench_train_step(n: usize, threads: usize, warmup: usize, reps: usize) -> (f6
     let mut opt = Adam::new(1e-3);
     let mut drop_rng = DetRng::new(2);
     time_stats_ms(warmup, reps, || {
-        gnn.train_step(&x, &y, &loss, &mut opt, &mut drop_rng);
+        gnn.train_step(&x, &y, &loss, &mut opt, &mut drop_rng, &Obs::disabled());
     })
 }
 
@@ -100,7 +102,7 @@ fn bench_train_epoch(n: usize, threads: usize, warmup: usize, reps: usize) -> (f
         for b in 0..10 {
             let xb = x.slice_rows(b * 256, (b + 1) * 256);
             let yb = &y[b * 256..(b + 1) * 256];
-            gnn.train_step(&xb, yb, &loss, &mut opt, &mut drop_rng);
+            gnn.train_step(&xb, yb, &loss, &mut opt, &mut drop_rng, &Obs::disabled());
         }
     })
 }
@@ -378,24 +380,16 @@ fn render_section(vals: &[(String, f64)], indent: &str) -> String {
     format!("{{\n{}\n{indent}}}", body.join(",\n"))
 }
 
-/// Pulls `"key": number` pairs out of a named flat JSON object in `text`.
-/// Enough of a parser for the file this binary itself writes.
+/// The `"key": number` pairs of the flat object `section` in the JSON
+/// document `text`, in file order. Empty when the text does not parse or
+/// has no such object.
 fn parse_section(text: &str, section: &str) -> Vec<(String, f64)> {
-    let Some(start) = text.find(&format!("\"{section}\"")) else { return Vec::new() };
-    let Some(open) = text[start..].find('{') else { return Vec::new() };
-    let body_start = start + open + 1;
-    let Some(close) = text[body_start..].find('}') else { return Vec::new() };
-    let body = &text[body_start..body_start + close];
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let mut it = pair.splitn(2, ':');
-        let (Some(k), Some(v)) = (it.next(), it.next()) else { continue };
-        let k = k.trim().trim_matches('"').to_string();
-        if let Ok(v) = v.trim().parse::<f64>() {
-            out.push((k, v));
+    match json::parse(text).ok().as_ref().and_then(|doc| doc.get(section)) {
+        Some(Json::Obj(fields)) => {
+            fields.iter().filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
         }
+        _ => Vec::new(),
     }
-    out
 }
 
 /// The current git HEAD SHA, or `"unknown"` outside a work tree.
@@ -538,4 +532,26 @@ fn main() {
     );
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("\nwritten to {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_the_committed_baseline_section_back() {
+        let text = include_str!("../../../../BENCH_COMPUTE.json");
+        let baseline = parse_section(text, "baseline");
+        let keys: Vec<&str> = baseline.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.first(), Some(&"train_step_gnn6_b256_ms"), "file order is kept: {keys:?}");
+        assert!(keys.contains(&SIM_BENCH), "{keys:?}");
+        assert!(baseline.iter().all(|(_, v)| *v > 0.0), "{baseline:?}");
+        let current = parse_section(text, "current");
+        assert!(current.len() > baseline.len(), "current lists every tier");
+        assert!(parse_section(text, "missing").is_empty());
+        assert!(parse_section("not json", "baseline").is_empty());
+        // What `render_section` writes reads back unchanged.
+        let text = format!("{{\"baseline\": {}}}", render_section(&baseline, "  "));
+        assert_eq!(parse_section(&text, "baseline"), baseline);
+    }
 }

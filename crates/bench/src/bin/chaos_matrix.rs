@@ -33,9 +33,8 @@ use graf_core::{
     SamplingConfig, TrainConfig,
 };
 use graf_loadgen::ClosedLoop;
-use graf_obs::FlightRecorder;
+use graf_obs::{FlightRecorder, Obs};
 use graf_orchestrator::{Cluster, CreationModel, Deployment};
-use graf_prof::Prof;
 use graf_sim::time::{SimDuration, SimTime};
 use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf_sim::world::{SimConfig, World};
@@ -109,7 +108,7 @@ fn run_cell(
     mode: PolicyMode,
     seed: u64,
     flight: (&FlightRecorder, &Path),
-    prof: &Prof,
+    obs: &Obs,
     audit: Option<PathBuf>,
 ) -> Cell {
     let topo = chain3();
@@ -119,6 +118,7 @@ fn run_cell(
         .collect();
     let mut cluster = Cluster::new(world, deployments, CreationModel::default());
     cluster.arm_chaos(sched);
+    cluster.set_obs(obs.clone());
 
     let mut rc = ResilientController::new(
         graf.controller(SLO_MS),
@@ -128,7 +128,7 @@ fn run_cell(
     // All cells append to the same ring, so on a chaos-induced demotion (or
     // a panic) the dump holds the last ~1k decisions across the matrix.
     rc.set_flight(flight.0.clone(), flight.1.to_path_buf());
-    rc.set_prof(prof.clone());
+    rc.set_obs(obs.clone());
     if let Some(path) = audit {
         match AuditTrail::to_file(&path) {
             Ok(trail) => rc.set_audit(trail),
@@ -168,7 +168,6 @@ fn run_cell(
 fn main() {
     let args = Args::parse();
     let obs = args.obs();
-    let prof = args.prof();
     let topo = chain3();
     println!("# Chaos matrix — fault class × degradation policy (surge at t={SURGE_S} s)");
     println!(
@@ -227,7 +226,7 @@ fn main() {
         {
             let audit = args.audit.as_ref().map(|base| cell_audit_path(base, name, policy));
             let cell =
-                run_cell(&graf, &sched, mode, args.seed, (&flight, &flight_path), &prof, audit);
+                run_cell(&graf, &sched, mode, args.seed, (&flight, &flight_path), &obs, audit);
             println!(
                 "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
                 name,
@@ -265,6 +264,5 @@ fn main() {
     if let Some(base) = &args.audit {
         println!("\naudit trails written next to {base} (one JSONL file per cell)");
     }
-    args.finish_profile(&prof);
-    args.finish_telemetry(&obs);
+    args.finish(&obs);
 }

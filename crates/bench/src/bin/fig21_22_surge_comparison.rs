@@ -123,5 +123,5 @@ fn main() {
             println!();
         }
     }
-    args.finish_telemetry(&obs);
+    args.finish(&obs);
 }

@@ -31,7 +31,10 @@
 //! one global RNG where the sharded executor draws from one RNG per shard,
 //! so its conservation counts (`completed`, `in_flight`, and `spans` under
 //! full trace sampling) match the sharded rows exactly while its latency
-//! quantiles and sampled-span counts match only statistically.
+//! quantiles and sampled-span counts match only statistically. The scenario
+//! seed ignores `queue` as well, so the calendar and heap rows of one
+//! `(tier, simthreads)` pair replay the same arrivals and, the two cores
+//! being bit-identical, are identical records.
 //!
 //! Every scenario cell replays the Figure-21-style scenario: warm up at a base user
 //! population, optionally surge at `SURGE_S`, inject the cell's fault class
@@ -95,7 +98,8 @@ pub const QUEUES: &[&str] = &["calendar", "heap"];
 /// * `@parsim` — the parallel-sim ablation: both load tiers × both event
 ///   queues × worker counts 0 (serial reference), 1, 2 and 8; the
 ///   `simthreads=1,2,8` rows of a `(tier, queue)` pair must be
-///   byte-identical, the serial row matches on conservation counts.
+///   byte-identical, the serial row matches on conservation counts, and the
+///   calendar and heap rows of a `(tier, simthreads)` pair are identical.
 pub const PRESETS: &[(&str, &str)] = &[
     ("@smoke", "app=boutique;policy=hpa;slo=60,90;surge=none,step"),
     ("@default", "app=boutique;policy=graf,hpa;slo=60,90;surge=none,step,spike"),
@@ -398,14 +402,15 @@ impl CellRunner {
         use graf_sim::rng::DetRng;
 
         // The sweep's cell seed folds in every axis value — including
-        // `simthreads`, which must NOT shift the scenario (the executor is
-        // the thing under test, the scenario is the control). Re-derive the
-        // seed from the cell key without that coordinate so all worker-count
-        // rows of a `(tier, queue)` pair replay the same arrivals.
+        // `simthreads` and `queue`, which must NOT shift the scenario (the
+        // executor and the event core are the things under test, the
+        // scenario is the control). Re-derive the seed from the cell key
+        // without those coordinates so every row of a tier replays the same
+        // arrivals.
         let scenario_key: String = cell
             .key()
             .split('/')
-            .filter(|part| !part.starts_with("simthreads="))
+            .filter(|part| !part.starts_with("simthreads=") && !part.starts_with("queue="))
             .collect::<Vec<_>>()
             .join("/");
         let seed = graf_sweep::derive_seed(self.grid_seed, &scenario_key);
@@ -640,21 +645,26 @@ mod tests {
     fn ablation_cells_are_identical_across_worker_counts() {
         let scale = SweepScale { quick: true, ..SweepScale::default() };
         let mut runner = CellRunner::new(7, scale);
-        let mut row = |simthreads: &str| {
-            let key = format!("queue=heap/simthreads={simthreads}/tier=sim600");
+        let mut row = |queue: &str, simthreads: &str| {
+            let key = format!("queue={queue}/simthreads={simthreads}/tier=sim600");
             let cell = Cell::from_key(&key).expect("parseable key");
             let seed = derive_seed(7, &cell.key());
             runner.run_cell(&cell, seed).unwrap()
         };
-        let serial = row("0");
-        let one = row("1");
-        let three = row("3");
+        let serial = row("heap", "0");
+        let one = row("heap", "1");
+        let three = row("heap", "3");
         assert!(one.get("completed").unwrap_or(0.0) > 0.0, "requests completed");
         assert_eq!(one.get("in_flight"), Some(0.0), "ablation drains fully");
         assert_eq!(one, three, "worker count leaked into ablation metrics");
         for metric in ["completed", "spans", "in_flight"] {
             assert_eq!(serial.get(metric), one.get(metric), "serial reference diverged: {metric}");
         }
+        // The queue axis is an ablation of the event core alone: calendar and
+        // heap rows of one (tier, simthreads) pair replay the same arrivals
+        // and, the two cores being bit-identical, record the same metrics.
+        assert_eq!(row("calendar", "0"), serial, "queue kind leaked into the serial scenario");
+        assert_eq!(row("calendar", "1"), one, "queue kind leaked into the sharded scenario");
     }
 
     #[test]

@@ -102,8 +102,9 @@ impl Graf {
         Self::build_observed(topo, cfg, &graf_obs::Obs::disabled())
     }
 
-    /// [`Graf::build`] with telemetry: the bound search, sample fan-out and
-    /// training run report through `obs`. The produced artifacts are
+    /// [`Graf::build`] with instrumentation: the bound search, sample
+    /// fan-out and training run report through `obs` (spans, counters and
+    /// the training run's `train.*` phases). The produced artifacts are
     /// identical to the unobserved build.
     pub fn build_observed(topo: AppTopology, cfg: GrafBuildConfig, obs: &graf_obs::Obs) -> Self {
         let collector =

@@ -158,14 +158,6 @@ impl LatencyModel {
         self.net.num_params()
     }
 
-    /// Attaches a self-profiler handle to the underlying network: training
-    /// steps then attribute wall time to `train.forward_backward`,
-    /// `train.reduce` and `train.optimizer` phases. Profiling never alters
-    /// numerics.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.net.set_prof(prof);
-    }
-
     /// Builds a [`Dataset`] from collected samples using this model's scaler.
     pub fn dataset_from_samples(scaler: &FeatureScaler, samples: &[Sample]) -> Dataset {
         let mut d = Dataset::new();
@@ -186,10 +178,13 @@ impl LatencyModel {
         self.train_observed(split, cfg, &graf_obs::Obs::disabled())
     }
 
-    /// [`LatencyModel::train`] with telemetry: emits one `graf.train.eval`
-    /// point per evaluation (optimizer iteration, train/val loss) and a
-    /// closing `graf.train` span (epochs, best checkpoint, epochs/sec).
-    /// Numerically identical to the unobserved path.
+    /// [`LatencyModel::train`] with instrumentation: emits one
+    /// `graf.train.eval` point per evaluation (optimizer iteration,
+    /// train/val loss) and a closing `graf.train` span (epochs, best
+    /// checkpoint, epochs/sec), and hands `obs` to every training step so
+    /// the network's `train.forward_backward`, `train.reduce` and
+    /// `train.optimizer` phases land in its tree. Numerically identical to
+    /// the unobserved path.
     pub fn train_observed(
         &mut self,
         split: &Split,
@@ -223,7 +218,7 @@ impl LatencyModel {
             for (x, y_raw) in split.train.batches(cfg.batch_size, &mut rng) {
                 y_buf.clear();
                 y_buf.extend(y_raw.iter().map(|y| y / self.label_scale));
-                let l = self.net.train_step(&x, &y_buf, &loss, &mut opt, &mut drop_rng);
+                let l = self.net.train_step(&x, &y_buf, &loss, &mut opt, &mut drop_rng, obs);
                 acc_loss += l;
                 acc_n += 1;
                 iter += 1;

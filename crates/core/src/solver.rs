@@ -102,10 +102,14 @@ pub fn solve(
     solve_observed(model, workloads, slo_ms, bounds, cfg, &graf_obs::Obs::disabled())
 }
 
-/// [`solve`] with telemetry: records a `graf.solver.solve` span (iterations,
-/// final loss, SLO violation, predicted latency; wall-clock duration) and the
-/// `graf.solver.iterations` counter. Identical numerics — telemetry never
-/// feeds back into the descent.
+/// [`solve`] with instrumentation: records a `graf.solver.solve` span
+/// (iterations, final loss, SLO violation, predicted latency; wall-clock
+/// duration) and the `graf.solver.iterations` counter, and attributes wall
+/// time to the `solver.solve` phase with `solver.predict_grad` (fused model
+/// forward/backward) and `solver.descent` (Adam step + box projection)
+/// children, one work unit per iteration. Identical numerics — nothing
+/// recorded feeds back into the descent, and a disabled handle costs one
+/// branch per instrumentation point.
 pub fn solve_observed(
     model: &mut LatencyModel,
     workloads: &[f64],
@@ -114,24 +118,7 @@ pub fn solve_observed(
     cfg: &SolverConfig,
     obs: &graf_obs::Obs,
 ) -> SolveResult {
-    solve_instrumented(model, workloads, slo_ms, bounds, cfg, obs, &graf_prof::Prof::disabled())
-}
-
-/// [`solve_observed`] plus self-profiling: attributes wall time to
-/// `solver.solve` with `solver.predict_grad` (fused model forward/backward)
-/// and `solver.descent` (Adam step + box projection) child phases, one work
-/// unit per iteration. A disabled profiler costs one branch per scope, so
-/// numerics and performance are unchanged when profiling is off.
-pub fn solve_instrumented(
-    model: &mut LatencyModel,
-    workloads: &[f64],
-    slo_ms: f64,
-    bounds: &Bounds,
-    cfg: &SolverConfig,
-    obs: &graf_obs::Obs,
-    prof: &graf_prof::Prof,
-) -> SolveResult {
-    let _solve_scope = prof.enter("solver.solve");
+    let _solve_scope = obs.enter("solver.solve");
     let mut span = obs.span("graf.solver.solve");
     let n = workloads.len();
     assert_eq!(n, model.num_services(), "one workload per service");
@@ -160,19 +147,19 @@ pub fn solve_instrumented(
     let mut g_ms: Vec<f64> = Vec::with_capacity(n);
     for it in 0..cfg.max_iters {
         iterations = it + 1;
-        prof.work(1);
+        obs.work(1);
         for (q, &v) in quotas_mc.iter_mut().zip(r.value.data()) {
             *q = model.scaler.unscale_quota(v);
         }
         let (pred, has_grad) = {
-            let _grad_scope = prof.enter("solver.predict_grad");
+            let _grad_scope = obs.enter("solver.predict_grad");
             model.predict_ms_with_grad(workloads, &quotas_mc, slo_ms, &mut g_ms)
         };
         let violation = (pred - slo_ms).max(0.0) / slo_ms;
         let total: f64 = r.value.data().iter().sum();
         last_loss = total + cfg.rho * violation;
 
-        let _descent_scope = prof.enter("solver.descent");
+        let _descent_scope = obs.enter("solver.descent");
         // Gradient: d/dr_scaled [Σ r_scaled] = 1; the penalty term chains
         // through the network when active (`g_ms` = d pred_ms / d r_mc).
         if has_grad {

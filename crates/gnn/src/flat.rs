@@ -8,6 +8,7 @@
 use std::cell::RefCell;
 
 use graf_nn::{Adam, AsymmetricHuber, Matrix, Mlp, MlpGrads, MlpTrace, Mode, Workspace};
+use graf_obs::Obs;
 use graf_sim::rng::DetRng;
 
 use crate::net::LatencyNet;
@@ -105,6 +106,7 @@ impl LatencyNet for FlatMlp {
         loss: &AsymmetricHuber,
         opt: &mut Adam,
         rng: &mut DetRng,
+        _obs: &Obs,
     ) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch size mismatch");
         let sc = self.scratch.get_mut();
@@ -160,7 +162,7 @@ mod tests {
         let mut train_rng = DetRng::new(3);
         let first = m.eval_loss(&x, &y, &loss);
         for _ in 0..400 {
-            m.train_step(&x, &y, &loss, &mut opt, &mut train_rng);
+            m.train_step(&x, &y, &loss, &mut opt, &mut train_rng, &Obs::disabled());
         }
         let last = m.eval_loss(&x, &y, &loss);
         assert!(last < first * 0.3, "{first} → {last}");

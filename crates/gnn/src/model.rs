@@ -26,6 +26,7 @@
 use std::cell::RefCell;
 
 use graf_nn::{Adam, AsymmetricHuber, Matrix, Mlp, MlpGrads, MlpTrace, Mode, Workspace};
+use graf_obs::Obs;
 use graf_sim::rng::DetRng;
 
 use crate::graph::GraphSpec;
@@ -190,7 +191,6 @@ pub struct MicroserviceGnn {
     cfg: GnnConfig,
     nets: GnnNets,
     threads: usize,
-    prof: graf_prof::Prof,
     scratch: RefCell<GnnScratch>,
 }
 
@@ -201,7 +201,6 @@ impl Clone for MicroserviceGnn {
             cfg: self.cfg.clone(),
             nets: self.nets.clone(),
             threads: self.threads,
-            prof: self.prof.clone(),
             scratch: RefCell::new(GnnScratch::default()),
         }
     }
@@ -475,7 +474,6 @@ impl MicroserviceGnn {
             cfg,
             nets: GnnNets { phi1, gamma1, phi2, gamma2, readout },
             threads: 1,
-            prof: graf_prof::Prof::disabled(),
             scratch: RefCell::new(GnnScratch::default()),
         }
     }
@@ -554,6 +552,7 @@ impl LatencyNet for MicroserviceGnn {
         loss: &AsymmetricHuber,
         opt: &mut Adam,
         rng: &mut DetRng,
+        obs: &Obs,
     ) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch size mismatch");
         let b = x.rows();
@@ -568,8 +567,8 @@ impl LatencyNet for MicroserviceGnn {
             scratch.chunks.resize_with(n_chunks, Shard::default);
         }
         {
-            let _fb_scope = self.prof.enter("train.forward_backward");
-            self.prof.work(n_chunks as u64);
+            let _fb_scope = obs.enter("train.forward_backward");
+            obs.work(n_chunks as u64);
             let (nets, graph, cfg) = (&self.nets, &self.graph, &self.cfg);
             let threads = self.threads.clamp(1, n_chunks);
             let GnnScratch { seeds, chunks, wts, .. } = &mut scratch;
@@ -619,7 +618,7 @@ impl LatencyNet for MicroserviceGnn {
         }
         // Ordered reduction: chunk gradients fold into the parameters in
         // ascending chunk index, so the sum is identical for any thread count.
-        let _reduce_scope = self.prof.enter("train.reduce");
+        let _reduce_scope = obs.enter("train.reduce");
         let mut total = 0.0;
         for shard in &scratch.chunks[..n_chunks] {
             // graf-lint: allow(float-reduction, this IS the ordered reduction — ascending chunk index, thread-count-invariant by tier-1 test)
@@ -632,7 +631,7 @@ impl LatencyNet for MicroserviceGnn {
         }
         // Split step across the five networks: no `Vec<&mut Param>` temporary.
         drop(_reduce_scope);
-        let _opt_scope = self.prof.enter("train.optimizer");
+        let _opt_scope = obs.enter("train.optimizer");
         opt.begin_step();
         self.for_each_param_mut(|p| opt.update(p));
         // Parameters just changed: the transpose cache is stale.
@@ -643,10 +642,6 @@ impl LatencyNet for MicroserviceGnn {
 
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.prof = prof;
     }
 
     fn scratch_stats(&self) -> (u64, u64) {
@@ -904,7 +899,7 @@ mod tests {
         let mut train_rng = DetRng::new(6);
         let first = gnn.eval_loss(&x, &ys, &loss);
         for _ in 0..300 {
-            gnn.train_step(&x, &ys, &loss, &mut opt, &mut train_rng);
+            gnn.train_step(&x, &ys, &loss, &mut opt, &mut train_rng, &Obs::disabled());
         }
         let last = gnn.eval_loss(&x, &ys, &loss);
         assert!(last < first * 0.35, "training must cut loss substantially: {first} → {last}");
@@ -944,7 +939,7 @@ mod tests {
             let mut opt = Adam::new(1e-3);
             let mut tr = DetRng::new(41);
             for _ in 0..20 {
-                gnn.train_step(&x, &y, &loss, &mut opt, &mut tr);
+                gnn.train_step(&x, &y, &loss, &mut opt, &mut tr, &Obs::disabled());
             }
             gnn.predict(&x)
         };
@@ -965,7 +960,7 @@ mod tests {
             let mut opt = Adam::new(1e-3);
             let mut tr = DetRng::new(51);
             for _ in 0..10 {
-                gnn.train_step(&x, &y, &loss, &mut opt, &mut tr);
+                gnn.train_step(&x, &y, &loss, &mut opt, &mut tr, &Obs::disabled());
             }
             gnn.predict(&x)
         };
@@ -994,7 +989,14 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |r, c| 0.1 * (r + c) as f64);
         let _ = gnn.predict(&x);
         let mut opt = Adam::new(1e-3);
-        gnn.train_step(&x, &[1.0, 2.0], &AsymmetricHuber::default(), &mut opt, &mut rng);
+        gnn.train_step(
+            &x,
+            &[1.0, 2.0],
+            &AsymmetricHuber::default(),
+            &mut opt,
+            &mut rng,
+            &Obs::disabled(),
+        );
         gnn.grad_kept_into(&mut Matrix::default());
     }
 
@@ -1063,11 +1065,11 @@ mod tests {
         let mut opt = Adam::new(1e-3);
         let mut tr = DetRng::new(71);
         for _ in 0..3 {
-            gnn.train_step(&x, &y, &loss, &mut opt, &mut tr);
+            gnn.train_step(&x, &y, &loss, &mut opt, &mut tr, &Obs::disabled());
         }
         let (_, allocated_warm) = gnn.scratch_stats();
         for _ in 0..5 {
-            gnn.train_step(&x, &y, &loss, &mut opt, &mut tr);
+            gnn.train_step(&x, &y, &loss, &mut opt, &mut tr, &Obs::disabled());
         }
         let (reused, allocated) = gnn.scratch_stats();
         assert_eq!(allocated, allocated_warm, "steady-state training allocates no scratch");

@@ -1,6 +1,7 @@
 //! The common interface of latency-prediction networks.
 
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
+use graf_obs::Obs;
 use graf_sim::rng::DetRng;
 
 /// A network mapping per-service `(workload, quota)` features to predicted
@@ -39,6 +40,11 @@ pub trait LatencyNet {
 
     /// One training step: forward in train mode, asymmetric-Hüber loss,
     /// backward, Adam update. Returns the batch loss.
+    ///
+    /// Instrumented implementations attribute the step's wall time to
+    /// phases of `obs` (`train.forward_backward`, `train.reduce`,
+    /// `train.optimizer`); others ignore it. Instrumentation never alters
+    /// numerics: a disabled handle costs one branch per scope.
     fn train_step(
         &mut self,
         x: &Matrix,
@@ -46,6 +52,7 @@ pub trait LatencyNet {
         loss: &AsymmetricHuber,
         opt: &mut Adam,
         rng: &mut DetRng,
+        obs: &Obs,
     ) -> f64;
 
     /// Evaluation loss without updating parameters.
@@ -68,13 +75,6 @@ pub trait LatencyNet {
     /// Sets the worker-thread count used by [`LatencyNet::train_step`].
     /// Implementations without a parallel path ignore it.
     fn set_threads(&mut self, _threads: usize) {}
-
-    /// Attaches a self-profiler handle; instrumented implementations
-    /// attribute [`LatencyNet::train_step`] wall time to training phases
-    /// (`train.forward_backward`, `train.reduce`, `train.optimizer`).
-    /// Implementations without instrumentation ignore it. Profiling never
-    /// alters numerics: a disabled handle costs one branch per scope.
-    fn set_prof(&mut self, _prof: graf_prof::Prof) {}
 
     /// `(reused, allocated)` scratch-buffer counts since construction, for
     /// telemetry (allocation-avoidance counters). Default: zeros.

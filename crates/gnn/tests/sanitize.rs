@@ -11,6 +11,7 @@
 use graf_gnn::{FlatMlp, GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
 use graf_nn::sanitize::assert_no_alloc;
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
+use graf_obs::Obs;
 use graf_sim::rng::DetRng;
 
 fn gnn() -> MicroserviceGnn {
@@ -30,9 +31,11 @@ fn gnn_train_step_is_allocation_free_in_steady_state() {
     let mut rng = DetRng::new(4);
 
     for _ in 0..3 {
-        net.train_step(&x, &y, &loss, &mut opt, &mut rng);
+        net.train_step(&x, &y, &loss, &mut opt, &mut rng, &Obs::disabled());
     }
-    let l = assert_no_alloc("gnn train step", || net.train_step(&x, &y, &loss, &mut opt, &mut rng));
+    let l = assert_no_alloc("gnn train step", || {
+        net.train_step(&x, &y, &loss, &mut opt, &mut rng, &Obs::disabled())
+    });
     assert!(l.is_finite());
 }
 
@@ -64,10 +67,10 @@ fn flat_mlp_train_step_is_allocation_free_in_steady_state() {
     let mut train_rng = DetRng::new(6);
 
     for _ in 0..3 {
-        net.train_step(&x, &y, &loss, &mut opt, &mut train_rng);
+        net.train_step(&x, &y, &loss, &mut opt, &mut train_rng, &Obs::disabled());
     }
     let l = assert_no_alloc("flat-mlp train step", || {
-        net.train_step(&x, &y, &loss, &mut opt, &mut train_rng)
+        net.train_step(&x, &y, &loss, &mut opt, &mut train_rng, &Obs::disabled())
     });
     assert!(l.is_finite());
 }

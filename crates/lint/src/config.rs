@@ -45,7 +45,7 @@ impl Default for AnalyzeConfig {
             ordered_reduction_files: Vec::new(),
             parallel_adjacent_files: Vec::new(),
             alloc_allowed: Vec::new(),
-            exempt_crates: vec!["obs".into(), "prof".into(), "bench".into(), "lint".into()],
+            exempt_crates: vec!["obs".into(), "bench".into(), "lint".into()],
         }
     }
 }
@@ -309,14 +309,14 @@ entry-points = [
 ]
 ordered-reduction-files = ["crates/gnn/src/model.rs"]
 parallel-adjacent-files = ["crates/gnn/src/model.rs"]
-alloc-allowed = ["crates/prof/src/lib.rs::add_node"]
-exempt-crates = ["obs", "prof"]
+alloc-allowed = ["crates/obs/src/prof.rs::add_node"]
+exempt-crates = ["obs", "bench"]
 "#;
         let cfg = Config::parse(text).expect("parses");
         assert_eq!(cfg.analyze.entry_points, vec!["crates/sim/src/world.rs::run_until"]);
         assert_eq!(cfg.analyze.ordered_reduction_files, vec!["crates/gnn/src/model.rs"]);
-        assert_eq!(cfg.analyze.alloc_allowed, vec!["crates/prof/src/lib.rs::add_node"]);
-        assert_eq!(cfg.analyze.exempt_crates, vec!["obs", "prof"]);
+        assert_eq!(cfg.analyze.alloc_allowed, vec!["crates/obs/src/prof.rs::add_node"]);
+        assert_eq!(cfg.analyze.exempt_crates, vec!["obs", "bench"]);
     }
 
     #[test]

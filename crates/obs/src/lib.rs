@@ -1,8 +1,8 @@
 //! # graf-obs
 //!
-//! Framework-wide telemetry for the GRAF control loop: structured spans, a
-//! metrics registry, and exporters (JSONL event log, Prometheus text
-//! exposition, human-readable summary).
+//! GRAF's instrumentation of itself: structured spans, a metrics registry,
+//! a hierarchical phase tree, and exporters (JSONL event log, Prometheus
+//! text exposition, human-readable summary, per-phase wall-time table).
 //!
 //! The paper's GRAF consumes observability (Jaeger traces, Prometheus and
 //! cAdvisor metrics) but our reproduction had none *of itself*: solver
@@ -13,12 +13,13 @@
 //!
 //! ## Design
 //!
-//! Everything hangs off an [`Obs`] handle — a cheap clonable
-//! `Option<Arc<..>>`. A **disabled** handle (the default everywhere) costs
-//! one branch per instrumentation point: no allocation, no locking, no
-//! clock reads, so hot paths are unaffected and simulation results are
-//! bit-identical with telemetry on or off (telemetry never feeds back into
-//! control decisions).
+//! Everything hangs off one [`Obs`] handle — a cheap clonable
+//! `Option<Arc<..>>` shared by the event sink, the metrics registry and the
+//! phase tree. A **disabled** handle (the default everywhere) costs one
+//! branch per instrumentation point: no allocation, no locking, no clock
+//! reads, so hot paths are unaffected and simulation results are
+//! bit-identical with instrumentation on or off (nothing recorded ever
+//! feeds back into control decisions).
 //!
 //! * [`Obs::span`] returns an [`ObsSpan`] scoped guard recording name,
 //!   wall-clock duration, optional simulated time and key/value attributes
@@ -27,22 +28,30 @@
 //! * [`Obs::counter_add`] / [`Obs::gauge_set`] / [`Obs::hist_record`]
 //!   maintain named, labelled series in the metrics registry; histograms
 //!   reuse [`graf_metrics::Histogram`]'s log-bucketed internals.
+//! * [`Obs::enter`] / [`Obs::switch`] / [`Obs::work`] build the phase tree
+//!   (wall time plus deterministic work counters per nested phase) and
+//!   [`Obs::report`] snapshots it (see [`prof`]). Spans and phase scopes
+//!   stay separate operations: spans may be recorded from any thread, the
+//!   tree's scope stack belongs to one thread at a time.
 //! * [`Obs::write_jsonl`], [`Obs::render_prometheus`] and [`Obs::summary`]
-//!   export everything (see [`export`]).
+//!   export the events and metrics (see [`export`]);
+//!   [`prof::ProfReport::render`] prints the phase tree.
 //!
 //! ## Naming conventions
 //!
-//! Dotted lowercase paths, `graf.<component>.<thing>`:
-//! `graf.controller.tick`, `graf.solver.solve`, `graf.solver.iterations`,
-//! `graf.train.eval`, `graf.sample.bounds`, `graf.cluster.creations_started`,
-//! `graf.sim.events`. Exporters map dots to underscores where the target
-//! format requires it.
+//! Events and metrics use dotted lowercase paths,
+//! `graf.<component>.<thing>`: `graf.controller.tick`, `graf.solver.solve`,
+//! `graf.solver.iterations`, `graf.train.eval`, `graf.sample.bounds`,
+//! `graf.cluster.creations_started`, `graf.sim.events`. Exporters map dots
+//! to underscores where the target format requires it. Phases use
+//! `<layer>.<step>` without the prefix: `sim.event_loop`, `controller.tick`,
+//! `solver.solve`, `train.forward_backward`.
 //!
-//! **Invariants.** Telemetry is strictly write-only: no instrumented
-//! component ever reads a counter, gauge or span back to make a decision,
-//! so enabling or disabling observation cannot change simulation results.
-//! A disabled handle ([`Obs::disabled`]) short-circuits before formatting
-//! or allocating, keeping instrumented hot paths allocation-free.
+//! **Invariants.** Instrumentation is strictly write-only: no instrumented
+//! component ever reads a counter, gauge, span or phase back to make a
+//! decision, so enabling or disabling observation cannot change simulation
+//! results. A disabled handle ([`Obs::disabled`]) short-circuits before
+//! formatting or allocating, keeping instrumented hot paths allocation-free.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -50,6 +59,7 @@
 pub mod export;
 pub mod flight;
 pub mod json;
+pub mod prof;
 pub mod registry;
 
 pub use export::JsonlSink;
@@ -157,6 +167,7 @@ struct Inner {
     seq: AtomicU64,
     sink: Mutex<Sink>,
     registry: Mutex<Registry>,
+    tree: Mutex<prof::Tree>,
 }
 
 impl Inner {
@@ -174,7 +185,8 @@ impl Inner {
     }
 }
 
-/// The telemetry handle. Clones share the same sink and registry.
+/// The instrumentation handle. Clones share the same sink, registry and
+/// phase tree.
 ///
 /// A disabled handle (from [`Obs::disabled`] or `Obs::default()`) makes every
 /// operation a cheap no-op.
@@ -224,11 +236,13 @@ impl Obs {
                     last_wall_us: 0,
                 }),
                 registry: Mutex::new(Registry::new()),
+                tree: Mutex::new(prof::Tree::new()),
             })),
         }
     }
 
     /// `true` when this handle records anything.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }

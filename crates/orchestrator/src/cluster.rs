@@ -87,10 +87,11 @@ impl Cluster {
         self.chaos = Some(schedule.engine(graf_chaos::stream::CLUSTER));
     }
 
-    /// Attaches a telemetry handle to the cluster and its world. The cluster
-    /// reports instance-creation lifecycle metrics
+    /// Attaches an instrumentation handle to the cluster and its world. The
+    /// cluster reports instance-creation lifecycle metrics
     /// (`graf.cluster.creations_started` / `creations_completed`, the
-    /// `creation_batch` size histogram and the `pending_creations` gauge).
+    /// `creation_batch` size histogram and the `pending_creations` gauge);
+    /// the world adds its event counters and `sim.*` phases.
     pub fn set_obs(&mut self, obs: graf_obs::Obs) {
         self.world.set_obs(obs.clone());
         self.obs = obs;

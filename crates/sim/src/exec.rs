@@ -256,7 +256,6 @@ pub struct ShardedWorld {
     /// Shard event total at the last observation flush.
     last_events: u64,
     obs: graf_obs::Obs,
-    prof: graf_prof::Prof,
 }
 
 impl ShardedWorld {
@@ -312,7 +311,6 @@ impl ShardedWorld {
             traces: Vec::new(),
             last_events: 0,
             obs: graf_obs::Obs::disabled(),
-            prof: graf_prof::Prof::disabled(),
         }
     }
 
@@ -341,19 +339,15 @@ impl ShardedWorld {
         self.shards[0].config()
     }
 
-    /// Attaches a telemetry handle: the coordinator reports the summed
-    /// processed-event count and queue depth after each run, exactly like
-    /// the serial world's surface.
+    /// Attaches an instrumentation handle to the coordinator only. It
+    /// reports the summed processed-event count and queue depth after each
+    /// run, exactly like the serial world's surface, and attributes wall
+    /// time to `sim.exec.windows` (the parallel window loop) and
+    /// `sim.exec.merge` (the ordered reduction). Per-shard worlds stay
+    /// unobserved: they run on worker threads, and the phase tree's scope
+    /// stack belongs to one thread at a time.
     pub fn set_obs(&mut self, obs: graf_obs::Obs) {
         self.obs = obs;
-    }
-
-    /// Attaches a profiler handle. The coordinator attributes wall time to
-    /// `sim.exec.windows` (the parallel window loop) and `sim.exec.merge`
-    /// (the ordered reduction); per-shard worlds stay unprofiled — their
-    /// handles would race on the shared profiler from worker threads.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.prof = prof;
     }
 
     /// Aggregate counters, summed over shards. `injected`/`completed` count
@@ -510,12 +504,12 @@ impl ShardedWorld {
     /// `i % threads` — any assignment works, results are invariant).
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards");
-        let _exec_scope = self.prof.enter("sim.exec");
+        let _exec_scope = self.obs.enter("sim.exec");
         let lookahead = self.partition.lookahead_us();
         let workers = self.threads.min(self.shards.len()).max(1);
         {
-            let _windows = self.prof.enter("sim.exec.windows");
-            self.prof.work(1);
+            let _windows = self.obs.enter("sim.exec.windows");
+            self.obs.work(1);
             if workers == 1 {
                 self.run_windows_inline(t, lookahead);
             } else {
@@ -524,8 +518,8 @@ impl ShardedWorld {
         }
         self.now = t;
         {
-            let _merge = self.prof.enter("sim.exec.merge");
-            self.prof.work(1);
+            let _merge = self.obs.enter("sim.exec.merge");
+            self.obs.work(1);
             self.merge_outputs();
         }
         if self.obs.is_enabled() {

@@ -320,14 +320,13 @@ pub struct World {
     next_request: u64,
     stats: WorldStats,
     obs: graf_obs::Obs,
-    prof: graf_prof::Prof,
     /// `Some` when this world is one shard of a [`crate::exec::ShardedWorld`]:
     /// ownership map, mailboxes and the remote-start payload slab. `None`
     /// (serial mode) keeps every cross-shard branch untaken.
     shard: Option<Box<ShardCtx>>,
 }
 
-/// Profiler phase name for an event kind (one scope per dispatched event).
+/// Phase-tree name for an event kind (one scope per dispatched event).
 fn event_phase(ev: &Event) -> &'static str {
     match ev {
         Event::Arrival { .. } => "sim.event_loop.arrival",
@@ -393,26 +392,20 @@ impl World {
             next_request: 0,
             stats: WorldStats::default(),
             obs: graf_obs::Obs::disabled(),
-            prof: graf_prof::Prof::disabled(),
             shard: None,
             cfg,
             topo,
         }
     }
 
-    /// Attaches a telemetry handle. The world reports processed-event counts
-    /// (`graf.sim.events`) and queue depth (`graf.sim.queue_depth`); telemetry
-    /// never influences simulation behaviour.
+    /// Attaches an instrumentation handle. The world reports processed-event
+    /// counts (`graf.sim.events`) and queue depth (`graf.sim.queue_depth`),
+    /// and the event loop attributes wall time to per-phase scopes
+    /// (`sim.event_loop.*`, `sim.station.*`, `sim.span_record`).
+    /// Instrumentation never influences simulation behaviour — a disabled
+    /// handle costs one branch per instrumentation point.
     pub fn set_obs(&mut self, obs: graf_obs::Obs) {
         self.obs = obs;
-    }
-
-    /// Attaches a profiler handle. The event loop then attributes wall time
-    /// to per-phase scopes (`sim.event_loop.*`, `sim.station.*`,
-    /// `sim.span_record`); profiling never influences simulation behaviour —
-    /// a disabled handle costs one branch per instrumentation point.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.prof = prof;
     }
 
     /// Current simulated time.
@@ -642,28 +635,28 @@ impl World {
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards");
         let events_before = self.stats.events;
-        let _loop_scope = self.prof.enter("sim.event_loop");
-        if self.prof.is_enabled() {
+        let _loop_scope = self.obs.enter("sim.event_loop");
+        if self.obs.is_enabled() {
             // The loop alternates between exactly two scopes — queue_pop and
-            // the current event's phase — via `Prof::switch`, so every
+            // the current event's phase — via `Obs::switch`, so every
             // hand-off uses one shared clock read and no wall time leaks into
             // the loop itself.
-            let mut scope = self.prof.enter("sim.event_loop.queue_pop");
+            let mut scope = self.obs.enter("sim.event_loop.queue_pop");
             loop {
                 let popped = self.queue.pop_due(t);
                 let Some((et, ev)) = popped else { break };
                 debug_assert!(et >= self.now);
                 self.now = et;
                 self.stats.events += 1;
-                scope = self.prof.switch(scope, event_phase(&ev));
-                self.prof.work(1);
+                scope = self.obs.switch(scope, event_phase(&ev));
+                self.obs.work(1);
                 self.dispatch(ev);
-                scope = self.prof.switch(scope, "sim.event_loop.queue_pop");
+                scope = self.obs.switch(scope, "sim.event_loop.queue_pop");
             }
             drop(scope);
         } else {
             // Identical dispatch without the per-event scope hand-offs: with
-            // the profiler disabled a switch is only a few moves and branches,
+            // the handle disabled a switch is only a few moves and branches,
             // but two per event is measurable at millions of events/s. The
             // event counter accumulates locally and lands once at the end.
             let mut n = 0u64;
@@ -914,8 +907,8 @@ impl World {
             self.rng_work.lognormal_mean_cv(mean_mc_us.max(1e-6), spec.cv)
         };
         let (used, epoch, next) = {
-            let _station = self.prof.enter("sim.station.assign");
-            self.prof.work(1);
+            let _station = self.obs.enter("sim.station.assign");
+            self.obs.work(1);
             let inst = self.instances[iid.0 as usize].as_mut().expect("live instance");
             let used = inst.advance(self.now);
             inst.push_job(fid, work);
@@ -944,8 +937,8 @@ impl World {
         let inst = self.instances[iid.0 as usize].as_mut().expect("checked above");
         let service = inst.service;
         let (used, drained, epoch, next) = {
-            let _station = self.prof.enter("sim.station.advance");
-            self.prof.work(1);
+            let _station = self.obs.enter("sim.station.advance");
+            self.obs.work(1);
             let used = inst.advance(self.now);
             inst.take_finished_into(&mut finished);
             (used, inst.drained(), inst.epoch, inst.next_completion(self.now))
@@ -1300,8 +1293,8 @@ impl World {
         if sampled && drop_p > 0.0 && self.rng_trace.chance(drop_p) {
             self.stats.spans_dropped += 1;
         } else if sampled {
-            let _span = self.prof.enter("sim.span_record");
-            self.prof.work(1);
+            let _span = self.obs.enter("sim.span_record");
+            self.obs.work(1);
             self.traces.push_span(
                 trace,
                 Span {

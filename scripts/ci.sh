@@ -62,9 +62,6 @@ cargo test -q -p graf-gnn --features sanitize --test sanitize
 cargo test -q -p graf-core --features sanitize --test sanitize
 cargo test -q --features sanitize --test sim_sanitize
 
-echo "== cargo bench --no-run =="
-cargo bench --no-run
-
 echo "== graf-perf compare (perf gate; strict coverage when both revs have history) =="
 cargo run --release -q -p graf-bench --bin graf-perf -- compare HEAD~1 HEAD --strict
 

@@ -267,4 +267,15 @@ fn telemetry_does_not_perturb_the_pipeline() {
     let prom = enabled.render_prometheus();
     assert!(prom.contains("graf_sim_events"), "world events counted:\n{prom}");
     assert!(prom.contains("graf_cluster_creations_started"), "creations counted:\n{prom}");
+
+    // The same handle carried the phase tree of every layer: the cluster's
+    // event loop, the controller tick with its solves, and training.
+    let report = enabled.report();
+    for phase in ["sim.event_loop", "controller.tick", "solver.solve", "train.forward_backward"] {
+        assert!(
+            report.rows.iter().any(|r| r.name == phase && r.calls > 0),
+            "{phase} recorded:\n{}",
+            report.render()
+        );
+    }
 }
